@@ -74,6 +74,8 @@ class BiomassWorkspace:
     # and coupling rounds while it still contracts (see step_biomass)
     jac_lu: object = None
     jac_key: tuple = None
+    # cells on the u < 0 penalty branch when jac_lu was factored
+    jac_neg: np.ndarray = None
 
 
 def make_biomass_workspace(grid, params):
@@ -126,8 +128,12 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     # the residual. The diagonal moves O(dt) per step and the beta' slopes
     # drift slowly along a trajectory, so in quiet stretches whole steps run
     # on an old factorization; the contraction monitor refreshes it the
-    # moment that stops being true. Acceptance is always on the true
-    # residual, never on the quality of the Jacobian.
+    # moment that stops being true. The slope of beta jumps from 0 to
+    # 1/lambda across u = 0, so a factorization is also dropped as soon as
+    # any cell crosses to the other side of 0 than it was factored at: an
+    # old branch there gives directions that barely reduce the residual.
+    # Acceptance is always on the true residual, never on the quality of
+    # the Jacobian.
     cache_key = (dt,)
     lu = ws.jac_lu if ws.jac_key == cache_key else None
     lu_fresh = False
@@ -141,6 +147,9 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
                 residual=res,
                 history=history,
             )
+        neg = x < 0.0
+        if lu is not None and not np.array_equal(neg, ws.jac_neg):
+            lu = None
         if lu is None:
             slope = biomass_diffusion_reg_deriv(x, p).ravel()
             jac = (
@@ -149,7 +158,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
                 + ws.stiffness @ sp.diags(slope)
             )
             lu = splu(jac.tocsc())
-            ws.jac_lu, ws.jac_key = lu, cache_key
+            ws.jac_lu, ws.jac_key, ws.jac_neg = lu, cache_key, neg
             lu_fresh = True
         delta = lu.solve(-g_vec.ravel()).reshape(grid.cells)
         # backtracking on the sup-norm of the residual

@@ -46,7 +46,9 @@ def build_parser():
         description="Coupled biofilm growth / nutrient / constrained flow solver",
     )
     parser.add_argument("--config", required=True, help="path to an INI run configuration")
-    parser.add_argument("--out-dir", default=None, help="override [output] out_dir")
+    parser.add_argument(
+        "--out-dir", default=None, help="override [output] out_dir; none turns output off"
+    )
     parser.add_argument(
         "--steps", type=int, default=None, help="run exactly this many steps (overrides t_end)"
     )
@@ -78,7 +80,7 @@ def main(argv=None):
 
     from dataclasses import replace
 
-    from .config import initial_state, load_config, num_steps, print_config
+    from .config import initial_state, load_config, num_steps, parse_out_dir, print_config
     from .coupling import run
     from .errors import ConfigError, InvariantError, NonConvergenceError
 
@@ -87,7 +89,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
         if args.out_dir is not None:
-            cfg = replace(cfg, output=replace(cfg.output, out_dir=args.out_dir))
+            cfg = replace(cfg, output=replace(cfg.output, out_dir=parse_out_dir(args.out_dir)))
         if args.steps is not None:
             if args.steps < 0:
                 raise ConfigError("--steps must be nonnegative")

@@ -102,6 +102,11 @@ def _names(raw):
     return tuple(str(raw).split())
 
 
+def parse_out_dir(text):
+    """An out_dir setting as the run uses it: the word none turns output off."""
+    return None if text == "none" else text
+
+
 def parse_config(text):
     """Parse configuration text into a validated SimConfig."""
     cp = configparser.ConfigParser(
@@ -166,9 +171,7 @@ def parse_config(text):
 
     used = set()
     sec = section("output")
-    out_dir = _get(sec, "out_dir", str, "out", used)
-    if out_dir == "none":
-        out_dir = None
+    out_dir = parse_out_dir(_get(sec, "out_dir", str, "out", used))
     snapshot_every = _get(sec, "snapshot_every", int, 100, used)
     series_name = _get(sec, "series_name", str, "series.csv", used)
     snap_fields = _get(sec, "snapshot_fields", _names, ("u", "w", "v", "P"), used)

@@ -30,6 +30,7 @@ from .flow import (
     FlowStepConfig,
     FlowTrajectory,
     make_flow_workspace,
+    predict_velocity,
     pressure_project,
     step_flow,
     workspace_obstacle,
@@ -170,11 +171,14 @@ def picard_step(stepper, state, g, record=None, x_warm=True):
     cc = stepper.coupling
     grid = stepper.grid
     vol = grid.cell_volume
+    # the predictor sees only the old velocity and the forcing, not the
+    # biomass iterate, so every coupling round projects the same v*
+    v_star, predict_iters, viscous = predict_velocity(stepper.flow_ws, state.v, g)
     uk = state.u
     residuals = []
     accepted = None
     for k in range(cc.picard_max):
-        v_new, pressure, flow_rep, obs = step_flow(stepper.flow_ws, state.v, uk, g)
+        v_new, pressure, flow_rep, obs = step_flow(stepper.flow_ws, v_star, uk)
         w_new, nut_rep = step_nutrient(stepper.nut_ws, state.w, uk, v_new, cc.dt)
         u_new, bio_rep = step_biomass(
             stepper.bio_ws,
@@ -204,7 +208,7 @@ def picard_step(stepper, state, g, record=None, x_warm=True):
 
     v_new, pressure, w_new, u_new, flow_rep, nut_rep, bio_rep, obs = accepted
     if record is not None:
-        record.append(v_new, list(flow_rep.v_star), g, obs.values)
+        record.append(v_new, v_star, g, obs.values)
     new_state = SimState(t=state.t + cc.dt, u=u_new, w=w_new, v=v_new, P=pressure)
     diag = StepDiagnostics(
         step=-1,
@@ -225,13 +229,13 @@ def picard_step(stepper, state, g, record=None, x_warm=True):
         clamp_w=nut_rep.clamp_mass,
         picard_residuals=residuals,
         kinetic_sq=ops.face_l2_sq(list(v_new.comps), vol),
-        viscous_grad_sq=flow_rep.viscous_grad_sq,
+        viscous_grad_sq=viscous,
         nutrient_sq=ops.scalar_l2_sq(w_new.values, vol),
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),
         forcing_sq=ops.face_l2_sq(list(g.comps), vol),
         newton_iters=bio_rep.newton_iters,
         dykstra_sweeps=flow_rep.dykstra_sweeps,
-        predict_iters=flow_rep.predict_iters,
+        predict_iters=predict_iters,
         pressure_residual=flow_rep.pressure_residual,
     )
     return new_state, diag

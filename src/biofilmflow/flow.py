@@ -10,9 +10,12 @@ centers, the velocity set is
 The predictor treats viscosity and convection implicitly but freezes
 the advecting field at the old velocity, so the convection operator is
 exactly skew against the new iterate and the discrete kinetic-energy
-inequality holds with no quadrature defect. The projection onto K(r)
-runs Dykstra's alternating scheme over three elementary sets (two
-checkerboard half-families of the speed balls, then the affine
+inequality holds with no quadrature defect. Its viscous part is
+diagonal in a sine basis and solved exactly by fast transforms. The
+predictor does not depend on the biomass, so it runs once per time
+step; only the projection sees the biomass iterate. The projection
+onto K(r) runs Dykstra's alternating scheme over three elementary sets
+(two checkerboard half-families of the speed balls, then the affine
 divergence-free part); every sub-projection is exact, so the scheme
 converges to the true metric projection. The accumulated potentials of
 the affine projections, divided by dt, serve as the pressure.
@@ -21,11 +24,9 @@ the affine projections, divided by dt, serve as the pressure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.fft import dst, idst
 
 from . import operators as ops
 from .constitutive import speed_limit_reg
@@ -50,13 +51,10 @@ class FlowStepConfig:
 
 @dataclass
 class FlowStepReport:
-    predict_iters: int
     dykstra_sweeps: int
     max_excess: float
     max_div: float
     pressure_residual: float
-    viscous_grad_sq: float
-    v_star: tuple = ()  # predictor components, kept for the inequality ledger
 
 
 @dataclass(frozen=True)
@@ -72,57 +70,97 @@ class FlowWorkspace:
     cfg: FlowStepConfig
     kernel_eps: object
     cutoff: np.ndarray
-    laplacians: tuple
-    helmholtz_lu: tuple
+    helmholtz_eig: tuple  # per component: 1 + dt nu (eigenvalues of A_ax)
     poincare: float
 
 
 def make_flow_workspace(grid, params, cfg):
-    laps = tuple(ops.component_laplacian(grid, ax) for ax in range(grid.dim))
-    lus = tuple(
-        splu((sp.identity(A.shape[0], format="csr") + cfg.dt * params.nu * A).tocsc())
-        for A in laps
-    )
+    c = cfg.dt * params.nu
     return FlowWorkspace(
         grid=grid,
         params=params,
         cfg=cfg,
         kernel_eps=build_kernel(params.eps, grid),
         cutoff=build_cutoff(grid, params.mu).values,
-        laplacians=laps,
-        helmholtz_lu=lus,
+        helmholtz_eig=tuple(
+            1.0 + c * _sine_eigenvalues(grid, ax) for ax in range(grid.dim)
+        ),
         poincare=poincare_constant(grid),
     )
 
 
-@lru_cache(maxsize=32)
+def _laplace_1d_eig(n, h, k):
+    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2 of a 1D sine-basis stencil."""
+    return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+
+
+def _sine_eigenvalues(grid, axis):
+    """Eigenvalues of ``ops.component_laplacian(grid, axis)``, laid out on
+    the interior faces of that component.
+
+    The block is a Kronecker sum of 1D stencils. Along its own axis the
+    n - 1 Dirichlet nodes are diagonalized by DST-I (k = 1..n-1); along
+    the other axes the ghost-reflected cell stencil (end coefficient 3)
+    is diagonalized by DST-II (k = 1..n). Schumann & Sweet, J. Comput.
+    Phys. 75 (1988).
+    """
+    lam = np.zeros(_interior_shape(grid, axis))
+    for ax, n in enumerate(grid.cells):
+        k = np.arange(1, n if ax == axis else n + 1)
+        shape = [1] * grid.dim
+        shape[ax] = k.size
+        lam = lam + _laplace_1d_eig(n, grid.h[ax], k).reshape(shape)
+    return lam
+
+
+def _helmholtz_solve(rhs, eig, axis):
+    """Solve (I + dt nu A_axis) x = rhs on the interior faces of a component.
+
+    ``eig`` holds the diagonal of the operator in the orthonormal sine
+    basis of ``_sine_eigenvalues``, so the solve is exact: transform,
+    divide, transform back.
+    """
+    if rhs.size == 0:
+        return rhs.copy()
+    kinds = [1 if ax == axis else 2 for ax in range(rhs.ndim)]
+    coef = rhs
+    for ax, kind in enumerate(kinds):
+        coef = dst(coef, type=kind, axis=ax, norm="ortho")
+    coef = coef / eig
+    for ax, kind in enumerate(kinds):
+        coef = idst(coef, type=kind, axis=ax, norm="ortho")
+    return coef
+
+
 def poincare_constant(grid):
     """Discrete Poincare constant: |z| <= L_P ||z||_A for face fields.
 
-    Computed by inverse power iteration on each component stiffness
-    block; the Rayleigh quotient approaches the smallest eigenvalue from
-    above, so the iterate is shrunk by a hair to keep the reported
-    constant a valid upper bound.
+    1/sqrt(lambda_min), with lambda_min = sum_ax (2 - 2cos(pi/n_ax))/h_ax^2
+    the smallest eigenvalue shared by every component block (the k = 1
+    mode of each 1D factor, see ``_sine_eigenvalues``). The eigenvalue
+    is shrunk by a hair, as a margin for rounding, so the constant stays
+    a valid upper bound.
     """
-    lam = np.inf
-    for ax in range(grid.dim):
-        A = ops.component_laplacian(grid, ax)
-        if A.shape[0] == 0:
-            continue
-        lu = splu(A.tocsc())
-        x = np.ones(A.shape[0])
-        x /= np.linalg.norm(x)
-        rho_prev = np.inf
-        for _ in range(400):
-            y = lu.solve(x)
-            ny = np.linalg.norm(y)
-            rho = float(x @ y) / ny**2  # Rayleigh quotient of A at y
-            x = y / ny
-            if abs(rho - rho_prev) <= 1e-13 * abs(rho):
-                break
-            rho_prev = rho
-        lam = min(lam, rho)
+    lam = sum(_laplace_1d_eig(n, h, 1) for n, h in zip(grid.cells, grid.h))
     return float(1.0 / np.sqrt(lam * (1.0 - 1e-9)))
+
+
+def vector_laplacian(grid, comps):
+    """A v for a face field, component by component; boundary faces stay 0.
+
+    A_ax is ``ops.component_laplacian(grid, ax)`` acting on the interior
+    faces of component ax.
+    """
+    return [
+        ops.embed_interior(
+            (ops.component_laplacian(grid, ax) @ ops.interior_faces(c, ax).ravel()).reshape(
+                _interior_shape(grid, ax)
+            ),
+            grid,
+            ax,
+        )
+        for ax, c in enumerate(comps)
+    ]
 
 
 def build_obstacle(u, params, kernel_eps, cutoff):
@@ -304,35 +342,40 @@ def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
 def predict_velocity(ws, v, g):
     """Solve (I + dt nu A + dt N(v_old, .)) v* = v_old + dt g.
 
-    Matrix-free fixed point on the convection term with the Helmholtz
-    part prefactored; the contraction factor is O(dt |v| / h), so at
-    advective CFL numbers well below one this settles in a handful of
-    iterations. Failure to contract is reported as a stability problem
-    (the remedy is a smaller dt). Returns (comps list, iterations,
+    Matrix-free fixed point on the convection term; each pass solves the
+    Helmholtz part exactly by sine transforms (``_helmholtz_solve``). The
+    contraction factor is O(dt |v| / h), so at advective CFL numbers well
+    below one this settles in a handful of iterations. Failure to
+    contract is reported as a stability problem (the remedy is a smaller
+    dt). The predictor does not see the biomass, so a time step needs it
+    once, before the coupling iteration. Returns (comps list, iterations,
     viscous form (A v*, v*) h^n).
     """
     grid = ws.grid
     dt = ws.cfg.dt
-    nd = grid.dim
     rhs = [
-        (ops.interior_faces(vc, ax) + dt * ops.interior_faces(gc, ax)).ravel()
+        ops.interior_faces(vc, ax) + dt * ops.interior_faces(gc, ax)
         for ax, (vc, gc) in enumerate(zip(v.comps, g.comps))
     ]
-    xs = [ops.interior_faces(vc, ax).ravel().copy() for ax, vc in enumerate(v.comps)]
+    comps = [
+        ops.embed_interior(ops.interior_faces(vc, ax), grid, ax) for ax, vc in enumerate(v.comps)
+    ]
     iters = 0
     for it in range(ws.cfg.predict_max_iters):
-        full = [
-            ops.embed_interior(x.reshape(_interior_shape(grid, ax)), grid, ax)
-            for ax, x in enumerate(xs)
-        ]
-        adv = ops.mac_advection(v.comps, full, grid.h)
+        adv = ops.mac_advection(v.comps, comps, grid.h)
         new = [
-            ws.helmholtz_lu[ax].solve(rhs[ax] - dt * ops.interior_faces(adv[ax], ax).ravel())
-            for ax in range(nd)
+            ops.embed_interior(
+                _helmholtz_solve(
+                    rhs[ax] - dt * ops.interior_faces(adv[ax], ax), ws.helmholtz_eig[ax], ax
+                ),
+                grid,
+                ax,
+            )
+            for ax in range(grid.dim)
         ]
-        diff = max(float(np.abs(a - b).max()) for a, b in zip(new, xs))
-        scale = max(1.0, max(float(np.abs(a).max()) for a in new))
-        xs = new
+        diff = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(new, comps))
+        scale = max(1.0, max(float(np.abs(a).max(initial=0.0)) for a in new))
+        comps = new
         iters = it + 1
         if diff <= ws.cfg.predict_tol * scale:
             break
@@ -342,13 +385,7 @@ def predict_velocity(ws, v, g):
             "the advective CFL number is too large, reduce dt",
             residual=diff,
         )
-    comps = [
-        ops.embed_interior(x.reshape(_interior_shape(grid, ax)), grid, ax)
-        for ax, x in enumerate(xs)
-    ]
-    viscous = sum(
-        float(xs[ax] @ (ws.laplacians[ax] @ xs[ax])) for ax in range(nd)
-    ) * grid.cell_volume
+    viscous = ops.face_dot(vector_laplacian(grid, comps), comps, grid.cell_volume)
     return comps, iters, viscous
 
 
@@ -358,17 +395,17 @@ def _interior_shape(grid, axis):
     return tuple(shape)
 
 
-def step_flow(ws, v, u, g):
-    """Advance the velocity one step under the biomass speed obstacle.
+def step_flow(ws, v_star, u):
+    """Project the predictor v_star onto K(r(u)), the biomass iterate's
+    speed obstacle.
 
     Returns (VectorField, pressure ScalarField, FlowStepReport,
     ObstacleField). The pressure collects the affine multipliers of the
     projection scaled by 1/dt, mean-zero by construction.
     """
     obs = workspace_obstacle(ws, u)
-    star, predict_iters, viscous = predict_velocity(ws, v, g)
     v_new, pressure, info = project_K(
-        VectorField(ws.grid, tuple(star)),
+        VectorField(ws.grid, tuple(v_star)),
         obs,
         ws.cfg.dt,
         feas_tol=ws.cfg.feas_tol,
@@ -376,13 +413,10 @@ def step_flow(ws, v, u, g):
         max_sweeps=ws.cfg.max_sweeps,
     )
     report = FlowStepReport(
-        predict_iters=predict_iters,
         dykstra_sweeps=info["sweeps"],
         max_excess=info["max_excess"],
         max_div=info["max_div"],
         pressure_residual=info["pressure_residual"],
-        viscous_grad_sq=viscous,
-        v_star=tuple(star),
     )
     return v_new, pressure, report, obs
 
@@ -502,7 +536,6 @@ def vi_residual(traj, etas, feas_tol=1e-7):
 
     lhs = 0.5 * norm_sq(diff(traj.v[n_steps].comps, etas[n_steps - 1].comps))
     rhs = 0.5 * norm_sq(diff(traj.v[0].comps, etas[0].comps))
-    laps = tuple(ops.component_laplacian(grid, ax) for ax in range(grid.dim))
     for n in range(n_steps):
         vn = traj.v[n].comps
         vn1 = traj.v[n + 1].comps
@@ -515,16 +548,7 @@ def vi_residual(traj, etas, feas_tol=1e-7):
         lhs += dot(deta, diff(vn, eta_prev)) - 0.5 * norm_sq(deta)
         lhs += 0.5 * norm_sq(diff(vn1, vn))
 
-        a_star = [
-            ops.embed_interior(
-                (laps[ax] @ ops.interior_faces(star[ax], ax).ravel()).reshape(
-                    _interior_shape(grid, ax)
-                ),
-                grid,
-                ax,
-            )
-            for ax in range(grid.dim)
-        ]
+        a_star = vector_laplacian(grid, star)
         lhs += dt * traj.nu * dot(a_star, test)
         adv = ops.mac_advection(list(vn), list(star), h)
         lhs += dt * dot(adv, test)

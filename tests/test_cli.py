@@ -1,7 +1,11 @@
 """End-to-end command line checks via subprocess."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import biofilmflow
 
 CONFIG = """
 [grid]
@@ -23,11 +27,25 @@ g = swirl amplitude=2.0
 """
 
 
-def _cli(*args):
+def _cli(*args, cwd=None, threads=None):
+    """Run the CLI on the copy of the package this module imported.
+
+    `threads`, when given, is passed as `--threads` and also caps the
+    BLAS/OpenMP pools through the environment the child starts with:
+    numpy sizes them at import, before `--threads` is parsed.
+    """
+    env = dict(os.environ)
+    src = str(Path(biofilmflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if threads is not None:
+        args = (*args, "--threads", str(threads))
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = str(threads)
     return subprocess.run(
         [sys.executable, "-m", "biofilmflow.cli", *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env=env,
         timeout=120,
     )
 
@@ -111,12 +129,22 @@ def test_out_dir_override_beats_config(tmp_path):
     assert (target / "series.csv").exists()
 
 
+def test_out_dir_none_on_cli_disables_output(tmp_path):
+    # same word, same meaning as out_dir = none in the INI file
+    cfg = _write_cfg(tmp_path)
+    res = _cli("--config", str(cfg), "--steps", "1", "--out-dir", "none", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("done: 1 steps")
+    assert not (tmp_path / "none").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_flag_does_not_change_results(tmp_path):
     cfg1 = _write_cfg(tmp_path, out_dir=str(tmp_path / "t1"))
-    res = _cli("--config", str(cfg1), "--steps", "3", "--threads", "1")
+    res = _cli("--config", str(cfg1), "--steps", "3", threads=1)
     assert res.returncode == 0, res.stderr
     cfg2 = _write_cfg(tmp_path, out_dir=str(tmp_path / "t4"))
-    res = _cli("--config", str(cfg2), "--steps", "3", "--threads", "4")
+    res = _cli("--config", str(cfg2), "--steps", "3", threads=4)
     assert res.returncode == 0, res.stderr
     b1 = (tmp_path / "t1" / "series.csv").read_bytes()
     b2 = (tmp_path / "t4" / "series.csv").read_bytes()

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import stream_field_2d
 
+from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
-from biofilmflow.biomass import step_biomass
+from biofilmflow.biomass import BiomassStepConfig, step_biomass
 from biofilmflow.config import initial_state, parse_config
 from biofilmflow.coupling import (
     CouplingConfig,
@@ -18,9 +19,10 @@ from biofilmflow.coupling import (
 )
 from biofilmflow.diagnostics import invariant_report
 from biofilmflow.errors import ConfigError, NonConvergenceError
-from biofilmflow.flow import FlowStepConfig, step_flow, workspace_obstacle
+from biofilmflow.flow import FlowStepConfig, predict_velocity, step_flow, workspace_obstacle
 from biofilmflow.grid import ScalarField, VectorField, build_grid
 from biofilmflow.nutrient import step_nutrient
+from biofilmflow.presets import build_vector
 
 
 def _state_fields(params, cells=(16, 16), seed=0, u_hi=0.3):
@@ -116,8 +118,9 @@ def test_update_order_does_not_move_the_fixed_point(params):
     ref, _ = picard_step(stepper, state, gforce)
 
     uk, wk = u, w
+    v_star, _, _ = predict_velocity(stepper.flow_ws, v, gforce)
     for _ in range(60):
-        v_new, _, _, _ = step_flow(stepper.flow_ws, v, uk, gforce)
+        v_new, _, _, _ = step_flow(stepper.flow_ws, v_star, uk)
         u_new, _ = step_biomass(
             stepper.bio_ws, u, wk, v_new, stepper.bio_cfg, x0=uk.values
         )
@@ -228,3 +231,40 @@ def test_run_records_trajectory(tmp_path):
     assert len(record.v) == 4  # initial field plus three steps
     assert len(record.v_star) == 3
     assert len(record.obstacles) == 3
+
+
+def test_saturated_block_newton_stays_short(params, monkeypatch):
+    # the 3-step saturated block of C02: thousands of cells cross u = 0
+    # during a Newton solve, and a Jacobian factored on the other side of
+    # the penalty branch stalls the iteration; with the refresh on a
+    # branch flip every biomass call settles well inside newton_max
+    iters = []
+
+    def counted(*args, **kwargs):
+        out = step_biomass(*args, **kwargs)
+        iters.append(out[1].newton_iters)
+        return out
+
+    monkeypatch.setattr(coupling_mod, "step_biomass", counted)
+    g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
+    dt = 1e-3
+    stepper = make_stepper(
+        g,
+        params,
+        CouplingConfig(dt=dt, t_end=3 * dt),
+        bio_cfg=BiomassStepConfig(dt=dt, newton_max=120),
+    )
+    u = ScalarField.zeros(g)
+    u.values[24:40, 24:40] = params.u_star
+    state = SimState(
+        t=0.0,
+        u=u,
+        w=ScalarField.constant(g, 1.0),
+        v=VectorField.zeros(g),
+        P=ScalarField.zeros(g),
+    )
+    force = build_vector("swirl amplitude=600 cx=0.5 cy=0.5", g, None)
+    for _ in range(3):
+        state, _ = picard_step(stepper, state, force)
+    assert iters
+    assert max(iters) <= 40, iters

@@ -38,6 +38,13 @@ def _workspace(params, cells=(16, 16), dt=1e-3, gamma0=("left",)):
     return make_flow_workspace(g, params, cfg), g
 
 
+def _full_step(ws, v, u, gforce):
+    """Predictor, then projection: (v_new, pressure, report, obstacle, v*, viscous)."""
+    star, _, viscous = predict_velocity(ws, v, gforce)
+    v_new, pressure, rep, obs = step_flow(ws, star, u)
+    return v_new, pressure, rep, obs, star, viscous
+
+
 # --- obstacle construction ---------------------------------------------------
 
 def test_obstacle_from_clear_fluid(params):
@@ -182,6 +189,36 @@ def test_predict_matches_direct_helmholtz_solve(params):
         assert np.abs(comps[ax][ops.axslice(2, ax, -1)]).max() == 0.0
 
 
+@pytest.mark.parametrize(
+    "extents, cells",
+    [
+        ((2.0, 0.7), (17, 9)),
+        ((1.0, 0.3), (12, 1)),
+        ((1.0, 2.0, 3.0), (5, 6, 7)),
+        ((1.5, 0.4, 1.0), (4, 1, 3)),
+    ],
+)
+def test_helmholtz_transform_solve_residual(params, extents, cells):
+    # at rest the predictor is one sine-transform solve per component;
+    # apply the assembled block I + c A to its output and compare with
+    # the right-hand side (dt large, so the Laplacian dominates)
+    g = build_grid(len(cells), extents, cells, ("left",))
+    dt = 0.5
+    ws = make_flow_workspace(g, params, FlowStepConfig(dt=dt))
+    rng = np.random.default_rng(sum(cells))
+    gforce = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)))
+    comps, _, _ = predict_velocity(ws, VectorField.zeros(g), gforce)
+    for ax in range(g.dim):
+        A = ops.component_laplacian(g, ax)
+        x = ops.interior_faces(comps[ax], ax).ravel()
+        rhs = dt * ops.interior_faces(gforce.comps[ax], ax).ravel()
+        assert x.size == A.shape[0]
+        if x.size == 0:
+            continue
+        res = x + dt * params.nu * (A @ x) - rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+
 def test_predict_unforced_contracts_kinetic_energy(params):
     ws, g = _workspace(params)
     rng = np.random.default_rng(2)
@@ -316,7 +353,7 @@ def test_projection_variational_characterization(params):
 
 def test_step_flow_rest_state(params):
     ws, g = _workspace(params)
-    v, pressure, rep, obs = step_flow(
+    v, pressure, rep, obs, _, _ = _full_step(
         ws, VectorField.zeros(g), ScalarField.zeros(g), VectorField.zeros(g)
     )
     assert all(np.all(c == 0.0) for c in v.comps)
@@ -334,7 +371,7 @@ def test_step_flow_solid_block_caps_speed(params):
     v = VectorField.zeros(g)
     p0_mu = speed_limit(params.mu, params)
     for n in range(3):
-        v, _, rep, obs = step_flow(ws, v, u, gforce)
+        v, _, rep, obs, _, _ = _full_step(ws, v, u, gforce)
         # every step honors its own obstacle to projection tolerance
         assert rep.max_excess <= 1e-8 * p0_mu
         assert rep.max_div <= 1e-8
@@ -355,9 +392,9 @@ def test_step_flow_energy_ledger(params):
     kin = [ops.face_l2_sq(list(v.comps), vol)]
     visc, forc = [], []
     for _ in range(15):
-        v, _, rep, _ = step_flow(ws, v, u, gforce)
+        v, _, _, _, _, viscous = _full_step(ws, v, u, gforce)
         kin.append(ops.face_l2_sq(list(v.comps), vol))
-        visc.append(rep.viscous_grad_sq)
+        visc.append(viscous)
         forc.append(ops.face_l2_sq(list(gforce.comps), vol))
     ratio = flow_energy_check(kin, visc, forc, params.nu, ws.poincare, ws.cfg.dt)
     assert ratio <= 1.0 + 1e-6
@@ -370,7 +407,7 @@ def test_step_flow_unforced_is_dissipative(params):
     u = ScalarField(g, rng.uniform(0.0, 0.6, g.cells))
     e = ops.face_l2_sq(list(v.comps), g.cell_volume)
     for _ in range(10):
-        v, _, _, _ = step_flow(ws, v, u, VectorField.zeros(g))
+        v, _, _, _, _, _ = _full_step(ws, v, u, VectorField.zeros(g))
         e_new = ops.face_l2_sq(list(v.comps), g.cell_volume)
         assert e_new <= e * (1.0 + 1e-12)
         e = e_new
@@ -411,8 +448,8 @@ def _recorded_trajectory(params, n_steps=5):
     v = VectorField.zeros(g)
     traj.start(v)
     for _ in range(n_steps):
-        v, _, rep, obs = step_flow(ws, v, u, gforce)
-        traj.append(v, rep.v_star, gforce, obs.values)
+        v, _, _, obs, star, _ = _full_step(ws, v, u, gforce)
+        traj.append(v, star, gforce, obs.values)
     return traj, g
 
 
