@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields as dc_fields
 
 from .constitutive import ModelParams, validate_params
@@ -63,6 +64,10 @@ class InitialSpec:
     v: str = "zero"
     g: str = "zero"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -156,10 +161,10 @@ def parse_config(text):
     t_end = _get(sec, "t_end", float, 0.5, used)
     dt = _get(sec, "dt", float, 1e-3, used)
     check_leftovers("time", used)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if t_end < 0:
-        raise ConfigError("t_end must be nonnegative")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be nonnegative and finite, got {t_end}")
 
     used = set()
     sec = section("coupling")
@@ -268,8 +273,6 @@ def print_config(cfg):
 
 
 def num_steps(cfg):
-    import math
-
     return max(0, int(math.floor(cfg.t_end / cfg.dt + 1e-9)))
 
 

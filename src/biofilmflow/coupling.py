@@ -162,7 +162,7 @@ def check_initial_data(u0, w0, v0, params, div_tol=1e-12):
     return u0, w0, v0
 
 
-def picard_step(stepper, state, g, record=None, x_warm=True):
+def picard_step(stepper, state, g, record=None):
     """Advance one dt; returns (SimState, StepDiagnostics).
 
     record, when given, is a FlowTrajectory collecting the accepted
@@ -186,7 +186,7 @@ def picard_step(stepper, state, g, record=None, x_warm=True):
             w_new,
             v_new,
             stepper.bio_cfg,
-            x0=uk.values if x_warm else None,
+            x0=uk.values,
         )
         norm_prev = np.sqrt(ops.scalar_l2_sq(uk.values, vol))
         res = float(

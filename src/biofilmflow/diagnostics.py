@@ -1,4 +1,4 @@
-"""Norms, invariant margins, and per-step bookkeeping records."""
+"""Invariant margins and per-step bookkeeping records."""
 
 from __future__ import annotations
 
@@ -7,30 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as ops
-from .grid import ScalarField, VectorField
-
-
-def field_norms(f):
-    """l2 / linf / mass of a field with h^n volume weights.
-
-    For a vector field the l2 sums every face of every component and
-    the mass is the componentwise face sum (a dim-vector).
-    """
-    if isinstance(f, ScalarField):
-        vol = f.grid.cell_volume
-        return {
-            "l2": float(np.sqrt(np.sum(f.values**2) * vol)),
-            "linf": float(np.abs(f.values).max()),
-            "mass": float(np.sum(f.values) * vol),
-        }
-    if isinstance(f, VectorField):
-        vol = f.grid.cell_volume
-        return {
-            "l2": float(np.sqrt(ops.face_l2_sq(list(f.comps), vol))),
-            "linf": float(max(np.abs(c).max() for c in f.comps)),
-            "mass": tuple(float(np.sum(c) * vol) for c in f.comps),
-        }
-    raise TypeError(f"expected a field, got {type(f)!r}")
 
 
 @dataclass
@@ -131,7 +107,7 @@ class StepDiagnostics:
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
     newton_iters: int = 0
-    dykstra_sweeps: int = 0
+    dykstra_sweeps: int = 0  # iterations of the accepted round's projection
     predict_iters: int = 0
     pressure_residual: float = 0.0
 

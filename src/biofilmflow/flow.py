@@ -14,11 +14,12 @@ inequality holds with no quadrature defect. Its viscous part is
 diagonal in a sine basis and solved exactly by fast transforms. The
 predictor does not depend on the biomass, so it runs once per time
 step; only the projection sees the biomass iterate. The projection
-onto K(r) runs Dykstra's alternating scheme over three elementary sets
-(two checkerboard half-families of the speed balls, then the affine
-divergence-free part); every sub-projection is exact, so the scheme
-converges to the true metric projection. The accumulated potentials of
-the affine projections, divided by dt, serve as the pressure.
+onto K(r) is solved in its dual, one multiplier per cell for the speed
+ball, by an accelerated proximal gradient (FISTA) with adaptive
+restart: each iteration is one exact affine projection (a cosine
+transform Poisson solve) and one cellwise soft-threshold, so it
+converges to the true metric projection. The potential of the final
+affine projection, divided by dt, serves as the pressure.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .mollify import build_cutoff, build_kernel, mollify_array
 
 @dataclass(frozen=True)
 class FlowStepConfig:
+    """Flow-step tolerances; max_sweeps caps the projection iterations."""
+
     dt: float
     feas_tol: float = 1e-9
     step_tol: float = 1e-9
@@ -51,6 +54,9 @@ class FlowStepConfig:
 
 @dataclass
 class FlowStepReport:
+    """dykstra_sweeps counts the iterations of the projection onto K;
+    the name is older than the dual method."""
+
     dykstra_sweeps: int
     max_excess: float
     max_div: float
@@ -208,59 +214,10 @@ def _project_affine(comps, h):
     return [c - g for c, g in zip(out, grad)], phi
 
 
-def _project_parity(comps, obs, parity):
-    """Exact projection onto the speed balls of one checkerboard color.
-
-    Cells of the given parity see the face-to-center average m_c; if
-    |m_c| > r_c the unique minimum-norm correction subtracts
-    m_c (1 - r_c/|m_c|) / 2 from each of the two adjacent faces per
-    component (the averaging weights are 1/2, and cells of equal parity
-    share no face, which is what makes the cellwise solve exact).
-    """
-    nd = len(comps)
-    m = ops.interp_centers(comps)
-    speed = np.sqrt(np.sum(m * m, axis=-1))
-    idx = np.indices(obs.shape).sum(axis=0) % 2
-    mask = (idx == parity) & (speed > obs)
-    scale = np.ones(obs.shape)
-    np.divide(obs, speed, out=scale, where=mask)
-    out = [c.copy() for c in comps]
-    for ax in range(nd):
-        corr = np.where(mask, m[..., ax] * (1.0 - scale), 0.0)
-        out[ax][ops.axslice(nd, ax, slice(None, -1))] -= corr
-        out[ax][ops.axslice(nd, ax, slice(1, None))] -= corr
-    return out
-
-
 def constraint_excess(comps, obs):
     m = ops.interp_centers(comps)
     speed = np.sqrt(np.sum(m * m, axis=-1))
     return float(np.max(speed - obs))
-
-
-def obstacle_project(v, obs):
-    """One-pass cellwise rescaling toward the speed bound (surrogate).
-
-    Scales every cell's averaged velocity to the ball and distributes
-    the factor back to faces as the mean of the two adjacent cell
-    factors. Cheap and safe (factors <= 1) but not the metric
-    projection; the flow step itself uses the alternating scheme.
-    """
-    nd = v.grid.dim
-    m = ops.interp_centers(v.comps)
-    speed = np.sqrt(np.sum(m * m, axis=-1))
-    s = np.ones(obs.values.shape)
-    np.divide(obs.values, speed, out=s, where=speed > obs.values)
-    out = []
-    for ax, c in enumerate(v.comps):
-        pad = [(0, 0)] * nd
-        pad[ax] = (1, 1)
-        se = np.pad(s, pad, mode="edge")
-        factor = 0.5 * (
-            se[ops.axslice(nd, ax, slice(None, -1))] + se[ops.axslice(nd, ax, slice(1, None))]
-        )
-        out.append(c * factor)
-    return VectorField(v.grid, tuple(out))
 
 
 def pressure_project(v, dt):
@@ -279,57 +236,82 @@ def pressure_project(v, dt):
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt), residual
 
 
-def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
-    """Metric projection onto K(obs) by Dykstra's alternating scheme.
+def _shrink_cells(z, obs):
+    """Group soft-threshold z_c max(0, 1 - r_c/|z_c|) per cell.
 
-    Returns (VectorField, pressure ScalarField, info dict). Termination
-    requires the speed excess and the divergence to sit under feas_tol
-    *and* the last full cycle to have moved less than step_tol; plain
-    feasibility is reached early by iterates that are still far from
-    the projection, so it alone is not a safe stop.
+    The proximal map of the support function of the speed balls, i.e.
+    z minus its projection onto the balls.
+    """
+    norm = np.sqrt(np.sum(z * z, axis=-1))
+    keep = np.zeros_like(norm)
+    np.divide(obs, norm, out=keep, where=norm > obs)
+    np.subtract(1.0, keep, out=keep, where=norm > obs)
+    return z * keep[..., None]
+
+
+def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
+    """Metric projection onto K(obs) by an accelerated dual gradient.
+
+    With M the face-to-center average and lam the per-cell multipliers
+    of the speed balls, the primal point of lam is
+    x(lam) = P_A(v - M^T lam), P_A the affine projection (one Poisson
+    solve). FISTA with step 1 (valid since ||M P_A M^T|| <= ||M||^2 <= 1)
+    ascends the dual, whose proximal step is a cellwise group
+    soft-threshold; the momentum is reset whenever the dual step points
+    against it (gradient restart, O'Donoghue & Candes 2015). x(.) is
+    affine, so M x(y) at the extrapolated dual point y is extrapolated
+    from the last two iterates and each iteration costs one solve.
+
+    Starts from lam = 0 on every call. Returns (VectorField, pressure
+    ScalarField, info dict); info["sweeps"] counts the iterations.
+    Termination requires the speed excess and the divergence to sit
+    under feas_tol *and* the last primal increment to be below
+    step_tol; plain feasibility is reached early by iterates that are
+    still far from the projection, so it alone is not a safe stop. The
+    pressure is the potential of the final affine projection over dt.
     """
     grid = v.grid
     h = grid.h
-    x = [c.copy() for c in v.comps]
-    sets = ("red", "black", "affine")
-    dev = {s: [np.zeros_like(c) for c in x] for s in sets}
-    last_y = None
-    last_phi = None
-    for sweep in range(max_sweeps):
-        x_prev = [c.copy() for c in x]
-        for s in sets:
-            y = [xc + pc for xc, pc in zip(x, dev[s])]
-            if s == "affine":
-                # the potential of the affine deviation converges to the
-                # constraint multiplier; the per-sweep potentials must NOT
-                # be summed (each projection re-handles the restored
-                # deviation, so the sum double counts)
-                xn, phi = _project_affine(y, h)
-                last_y, last_phi = y, phi
-            else:
-                xn = _project_parity(y, obs.values, 0 if s == "red" else 1)
-            dev[s] = [yc - xc for yc, xc in zip(y, xn)]
-            x = xn
-        excess = constraint_excess(x, obs.values)
-        dv = float(np.abs(ops.divergence(x, h)).max())
-        inc = max(float(np.abs(a - b).max()) for a, b in zip(x, x_prev))
+    r = obs.values
+    lam = np.zeros(r.shape + (grid.dim,))
+    y_in = list(v.comps)
+    x, phi = _project_affine(y_in, h)
+    m = ops.interp_centers(x)
+    y, m_y, t = lam, m, 1.0
+    for it in range(max_sweeps):
+        lam_new = _shrink_cells(y + m_y, r)
+        if not np.array_equal(lam_new, lam):
+            # x(lam) moves only with lam; an unmoved dual keeps x and phi
+            y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam_new))]
+            x_new, phi = _project_affine(y_in, h)
+            m_new = ops.interp_centers(x_new)
+        else:
+            x_new, m_new = x, m
+        excess = float(np.max(np.sqrt(np.sum(m_new * m_new, axis=-1)) - r))
+        dv = float(np.abs(ops.divergence(x_new, h)).max())
+        inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
         if excess <= feas_tol and dv <= feas_tol and inc <= step_tol:
-            res = ops.neumann_laplacian_apply(last_phi, h) - ops.divergence(
-                _zero_normal_boundary(last_y), h
+            res = ops.neumann_laplacian_apply(phi, h) - ops.divergence(
+                _zero_normal_boundary(y_in), h
             )
             info = {
-                "sweeps": sweep + 1,
+                "sweeps": it + 1,
                 "max_excess": excess,
                 "max_div": dv,
                 "pressure_residual": float(np.abs(res).max()),
             }
-            return (
-                VectorField(grid, tuple(x)),
-                ScalarField(grid, last_phi / dt),
-                info,
-            )
+            return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
+        if np.sum((y - lam_new) * (lam_new - lam)) > 0.0:
+            y, m_y, t = lam_new, m_new, 1.0
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = lam_new + beta * (lam_new - lam)
+            m_y = m_new + beta * (m_new - m)
+            t = t_new
+        lam, x, m = lam_new, x_new, m_new
     raise NonConvergenceError(
-        f"constraint projection did not settle in {max_sweeps} sweeps "
+        f"constraint projection did not settle in {max_sweeps} iterations "
         f"(excess {excess:.3e}, div {dv:.3e}, step {inc:.3e})",
         residual=max(excess, dv),
     )
@@ -373,6 +355,10 @@ def predict_velocity(ws, v, g):
             )
             for ax in range(grid.dim)
         ]
+        if not all(np.isfinite(a).all() for a in new):
+            raise StabilityError(
+                "velocity predictor produced non-finite values; reduce dt or the forcing"
+            )
         diff = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(new, comps))
         scale = max(1.0, max(float(np.abs(a).max(initial=0.0)) for a in new))
         comps = new

@@ -64,9 +64,43 @@ def interp_centers(comps):
     return np.stack(cols, axis=-1)
 
 
+def interp_centers_adjoint(m):
+    """Transpose of ``interp_centers``: spread (*cells, nd) cell data onto
+    the faces, half to each of a cell's two faces per component."""
+    nd = m.shape[-1]
+    out = []
+    for ax in range(nd):
+        half = 0.5 * m[..., ax]
+        shape = list(half.shape)
+        shape[ax] += 1
+        f = np.zeros(shape)
+        f[axslice(nd, ax, slice(None, -1))] += half
+        f[axslice(nd, ax, slice(1, None))] += half
+        out.append(f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Poisson solve with pure no-flux boundaries (cosine diagonalization)
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _neumann_eigenvalues(cells, h):
+    """Cosine-basis eigenvalues of the no-flux Laplacian, read-only.
+
+    The zero eigenvalue of the constant mode is replaced by 1, so the
+    solve can divide by every entry before it zeroes that mode.
+    """
+    lam = np.zeros(cells)
+    for ax, n in enumerate(cells):
+        la = (2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / h[ax] ** 2
+        shape = [1] * len(cells)
+        shape[ax] = n
+        lam = lam + la.reshape(shape)
+    lam.flat[0] = 1.0
+    lam.setflags(write=False)
+    return lam
+
 
 def poisson_neumann(rhs, h):
     """Solve the 5/7-point no-flux Poisson problem; mean-zero output.
@@ -75,16 +109,8 @@ def poisson_neumann(rhs, h):
     eigenvalue (constant mode) is projected out, which silently fixes
     any compatibility defect in the right-hand side.
     """
-    cells = rhs.shape
-    lam = np.zeros(cells)
-    for ax, n in enumerate(cells):
-        la = (2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / h[ax] ** 2
-        shape = [1] * len(cells)
-        shape[ax] = n
-        lam = lam + la.reshape(shape)
     coef = dctn(rhs, type=2)
-    lam.flat[0] = 1.0
-    coef = coef / lam
+    coef = coef / _neumann_eigenvalues(rhs.shape, tuple(h))
     coef.flat[0] = 0.0
     phi = idctn(coef, type=2)
     return phi - phi.mean()

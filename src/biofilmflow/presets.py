@@ -39,7 +39,11 @@ def _parse_tokens(spec, what):
 
 def _take(kv, key, default=None, conv=float):
     if key in kv:
-        return conv(kv.pop(key))
+        raw = kv.pop(key)
+        try:
+            return conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {raw!r} for preset key {key!r}: {exc}") from None
     if default is None:
         raise ConfigError(f"preset is missing required key {key!r}")
     return default
@@ -87,9 +91,8 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
         inside = _take(kv, "inside", 0.5)
         outside = _take(kv, "outside", 0.0)
         _reject_leftovers(kv, name, what)
-        mesh = grid.center_mesh()
-        vals = np.where((mesh[axis] >= lo_c) & (mesh[axis] <= hi_c), inside, outside)
-        vals = np.array(vals, dtype=float)
+        x = grid.center_mesh()[axis]
+        vals = np.where(np.broadcast_to((x >= lo_c) & (x <= hi_c), grid.cells), inside, outside)
     elif name == "random-smooth":
         amp = _take(kv, "amplitude", 0.3)
         floor = _take(kv, "floor", 0.0)
@@ -135,6 +138,14 @@ def _face_mesh(grid, axis):
 
 
 def build_vector(spec, grid, rng, what="vector field"):
+    """Materialize a vector preset; every face value verified finite."""
+    field = _vector_preset(spec, grid, what)
+    if not all(np.isfinite(c).all() for c in field.comps):
+        raise ConfigError(f"{what} preset {spec!r} produced non-finite values")
+    return field
+
+
+def _vector_preset(spec, grid, what):
     name, kv = _parse_tokens(spec, what)
     if name == "zero":
         _reject_leftovers(kv, name, what)

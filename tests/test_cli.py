@@ -1,11 +1,16 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks, via subprocess and in process."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import biofilmflow
+from biofilmflow.cli import main
 
 CONFIG = """
 [grid]
@@ -149,3 +154,81 @@ def test_threads_flag_does_not_change_results(tmp_path):
     b1 = (tmp_path / "t1" / "series.csv").read_bytes()
     b2 = (tmp_path / "t4" / "series.csv").read_bytes()
     assert b1 == b2
+
+
+# Small random configurations: each is plausible, except that one value may
+# be replaced by a bad word. The CLI must end every run with a documented
+# exit code, never a traceback.
+_BAD_WORDS = ("0", "-1", "nan", "inf", "-inf", "1e400", "abc", "")
+
+
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+_MODEL = {
+    "nu": _num(1e-3, 10.0),
+    "mu": _num(0.01, 0.3),
+    "delta0": _num(0.3, 0.9),
+    "eps": _num(0.01, 0.5),
+    "v_max": _num(0.1, 10.0),
+    "k1": _num(0.1, 100.0),
+    "alpha": _num(1.5, 4.0),
+    "beta_reg_lambda": _num(1e-4, 0.1),
+}
+
+_SCALAR_PRESETS = st.one_of(
+    st.builds("uniform value={}".format, _num(0.0, 1.0)),
+    st.builds("gaussian-blob amplitude={} width={}".format, _num(0.0, 1.0), _num(0.05, 0.5)),
+    st.builds("random-smooth amplitude={} floor={}".format, _num(0.0, 0.5), _num(0.0, 0.5)),
+    st.builds("stripe axis={} inside={}".format, st.integers(0, 1), _num(0.0, 1.0)),
+)
+
+_VECTOR_PRESETS = st.one_of(
+    st.just("zero"),
+    st.builds("swirl amplitude={}".format, _num(-50.0, 50.0)),
+    st.builds("constant gx={} gy={}".format, _num(-5.0, 5.0), _num(-5.0, 5.0)),
+)
+
+
+@st.composite
+def _configs(draw):
+    dim = draw(st.sampled_from((2, 2, 3)))
+    n_max = 12 if dim == 2 else 5
+    values = {
+        ("grid", "dim"): str(dim),
+        ("grid", "cells"): " ".join(str(draw(st.integers(4, n_max))) for _ in range(dim)),
+        ("grid", "gamma0"): "left",
+        ("time", "dt"): draw(_num(1e-5, 0.05)),
+        ("time", "t_end"): "1.0",
+        ("initial", "u"): draw(_SCALAR_PRESETS),
+        ("initial", "w"): draw(_SCALAR_PRESETS),
+        ("initial", "v"): draw(_VECTOR_PRESETS),
+        ("initial", "g"): draw(_VECTOR_PRESETS),
+        ("initial", "seed"): str(draw(st.integers(0, 99))),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(_MODEL)), max_size=3)):
+        values[("model", key)] = draw(_MODEL[key])
+    if draw(st.booleans()):
+        slot = draw(st.sampled_from(sorted(values)))
+        bad = draw(st.sampled_from(_BAD_WORDS))
+        old = values[slot]
+        # a preset keeps its name and gets the bad word as one value
+        values[slot] = old.rsplit("=", 1)[0] + "=" + bad if "=" in old else bad
+    lines = []
+    for section in ("grid", "model", "time", "initial"):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {val}" for (sec, key), val in sorted(values.items()) if sec == section]
+    return "\n".join(lines) + "\n", draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_configs())
+def test_random_configs_end_in_a_documented_exit_code(case):
+    text, steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = main(["--config", path, "--steps", str(steps), "--out-dir", "none"])
+    assert code in (0, 2, 3, 4)

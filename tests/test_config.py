@@ -125,6 +125,15 @@ def test_time_section_guards():
         parse_config("[time]\nt_end = -1\n")
 
 
+def test_nonfinite_time_and_negative_seed_rejected():
+    # nan and inf slip past plain sign checks and crash num_steps later
+    for text in ("dt = nan", "dt = inf", "t_end = nan", "t_end = inf"):
+        with pytest.raises(ConfigError, match=text.split()[0]):
+            parse_config(f"[time]\n{text}\n")
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("[initial]\nseed = -1\n")
+
+
 def test_gamma0_must_be_proper_subset():
     with pytest.raises(ConfigError):
         parse_config("[grid]\ngamma0 = left right bottom top\n")
@@ -194,6 +203,22 @@ def test_preset_token_errors():
         initial_state(parse_config("[initial]\nu = uniform value=0.1 value=0.2\n"))
     with pytest.raises(ConfigError, match="unknown key"):
         initial_state(parse_config("[initial]\nu = uniform val=0.2\n"))
+
+
+def test_preset_values_and_vectors_validated():
+    with pytest.raises(ConfigError, match="amplitude"):
+        initial_state(parse_config("[initial]\nu = gaussian-blob amplitude=high\n"))
+    with pytest.raises(ConfigError, match="non-finite"):
+        initial_state(parse_config("[initial]\ng = constant gx=1 gy=inf\n"))
+
+
+def test_stripe_preset_fills_the_grid():
+    cfg = parse_config(
+        "[grid]\ncells = 8 4\n\n[initial]\nu = stripe axis=1 lo=0.5 hi=1.0 inside=0.3\n"
+    )
+    u = initial_state(cfg)["u"].values
+    assert u.shape == (8, 4)
+    assert np.all(u[:, :2] == 0.0) and np.all(u[:, 2:] == 0.3)
 
 
 def test_inline_comments_are_stripped():

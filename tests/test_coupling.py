@@ -9,6 +9,7 @@ from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
 from biofilmflow.biomass import BiomassStepConfig, step_biomass
 from biofilmflow.config import initial_state, parse_config
+from biofilmflow.constitutive import ModelParams
 from biofilmflow.coupling import (
     CouplingConfig,
     SimState,
@@ -233,11 +234,11 @@ def test_run_records_trajectory(tmp_path):
     assert len(record.obstacles) == 3
 
 
-def test_saturated_block_newton_stays_short(params, monkeypatch):
-    # the 3-step saturated block of C02: thousands of cells cross u = 0
-    # during a Newton solve, and a Jacobian factored on the other side of
-    # the penalty branch stalls the iteration; with the refresh on a
-    # branch flip every biomass call settles well inside newton_max
+@pytest.fixture(scope="module")
+def saturated_block():
+    """C02's 3-step saturated block: (Newton iterations of every biomass
+    call, StepDiagnostics of every step)."""
+    params = ModelParams()
     iters = []
 
     def counted(*args, **kwargs):
@@ -245,7 +246,6 @@ def test_saturated_block_newton_stays_short(params, monkeypatch):
         iters.append(out[1].newton_iters)
         return out
 
-    monkeypatch.setattr(coupling_mod, "step_biomass", counted)
     g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
     dt = 1e-3
     stepper = make_stepper(
@@ -264,7 +264,30 @@ def test_saturated_block_newton_stays_short(params, monkeypatch):
         P=ScalarField.zeros(g),
     )
     force = build_vector("swirl amplitude=600 cx=0.5 cy=0.5", g, None)
-    for _ in range(3):
-        state, _ = picard_step(stepper, state, force)
+    diags = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling_mod, "step_biomass", counted)
+        for _ in range(3):
+            state, diag = picard_step(stepper, state, force)
+            diags.append(diag)
+    return iters, diags
+
+
+def test_saturated_block_newton_stays_short(saturated_block):
+    # thousands of cells cross u = 0 during a Newton solve, and a
+    # Jacobian factored on the other side of the penalty branch stalls
+    # the iteration; with the refresh on a branch flip every biomass
+    # call settles well inside newton_max
+    iters, _ = saturated_block
     assert iters
     assert max(iters) <= 40, iters
+
+
+def test_saturated_block_projection_stays_short(saturated_block):
+    # the obstacle binds on the whole block, and the iteration count
+    # grows from step to step; the restarted dual gradient must keep
+    # every accepted round's projection to a few hundred iterations
+    _, diags = saturated_block
+    sweeps = [d.dykstra_sweeps for d in diags]
+    assert len(sweeps) == 3
+    assert max(sweeps) <= 500, sweeps

@@ -20,7 +20,6 @@ from biofilmflow.flow import (
     flow_energy_check,
     make_feasible,
     make_flow_workspace,
-    obstacle_project,
     poincare_constant,
     pressure_project,
     predict_velocity,
@@ -268,22 +267,6 @@ def test_pressure_project_keeps_solenoidal_fields(params):
     assert max(np.abs(a - b).max() for a, b in zip(out.comps, v.comps)) < 1e-12
 
 
-def test_obstacle_project_examples(params):
-    g = Grid((1.0, 1.0), (8, 8))
-    v = VectorField(g, (np.full(g.face_shape(0), 3.0), np.full(g.face_shape(1), 4.0)))
-    wide = obstacle_project(v, ObstacleField(g, np.full(g.cells, 5.0)))
-    assert np.allclose(wide.comps[0], 3.0) and np.allclose(wide.comps[1], 4.0)
-    tight = obstacle_project(v, ObstacleField(g, np.full(g.cells, 2.5)))
-    assert np.allclose(tight.comps[0], 1.5) and np.allclose(tight.comps[1], 2.0)
-    # factors never exceed one
-    rng = np.random.default_rng(6)
-    v2 = _random_zero_boundary(g, rng)
-    obs = ObstacleField(g, rng.uniform(0.1, 1.0, g.cells))
-    out = obstacle_project(v2, obs)
-    for a, b in zip(out.comps, v2.comps):
-        assert np.all(np.abs(a) <= np.abs(b) + 1e-15)
-
-
 # --- metric projection onto the constraint set -------------------------------
 
 def test_project_K_fixes_feasible_input(params):
@@ -308,22 +291,31 @@ def test_project_K_with_loose_obstacle_is_leray(params):
     assert np.abs(p_got.values - p_ref.values).max() < 1e-7 * np.abs(p_ref.values).max()
 
 
-def test_project_K_matches_dense_oracle(params):
+def _check_against_dense_oracle(cells, first_seed):
     # small instances against an independent dense constrained solver
-    for seed in range(3):
-        rng = np.random.default_rng(40 + seed)
-        g = Grid((1.0, 1.0), (4, 4))
-        comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2))
+    for seed in range(first_seed, first_seed + 3):
+        rng = np.random.default_rng(seed)
+        g = Grid((1.0,) * len(cells), cells)
+        comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim))
         obs = rng.uniform(0.25, 0.6, g.cells)
         out, _, info = project_K(
             VectorField(g, comps), ObstacleField(g, obs), dt=1.0,
             feas_tol=1e-10, step_tol=1e-12,
         )
         ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
+        assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
         gap = max(np.abs(a - b).max() for a, b in zip(out.comps, ref))
         assert gap < 1e-6
         assert info["max_excess"] <= 1e-10
         assert info["max_div"] <= 1e-10
+
+
+def test_project_K_matches_dense_oracle(params):
+    _check_against_dense_oracle((4, 4), 40)
+
+
+def test_project_K_matches_dense_oracle_3d(params):
+    _check_against_dense_oracle((3, 3, 3), 60)
 
 
 def test_projection_variational_characterization(params):

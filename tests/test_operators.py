@@ -183,3 +183,33 @@ def test_norm_helpers():
     assert ops.face_l2_sq(comps, g.cell_volume) == pytest.approx(
         g.face_shape(0)[0] * g.face_shape(0)[1] * g.cell_volume
     )
+
+
+def test_poisson_neumann_eigenvalue_cache_stays_fixed():
+    # the eigenvalues are built once per (shape, h) and shared: a solve
+    # must neither write into them nor depend on an earlier call
+    g = Grid((1.0, 2.0), (6, 5))
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal(g.cells)
+    first = ops.poisson_neumann(rhs, g.h)
+    lam = ops._neumann_eigenvalues(g.cells, g.h)
+    assert not lam.flags.writeable
+    before = lam.copy()
+    ops.poisson_neumann(rng.standard_normal(g.cells), g.h)
+    assert np.array_equal(lam, before)
+    assert ops.poisson_neumann(rhs, list(g.h)).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("cells", [(5, 7), (3, 4, 5)])
+def test_interp_centers_adjoint_is_the_transpose(cells):
+    rng = np.random.default_rng(12)
+    nd = len(cells)
+    comps = []
+    for ax in range(nd):
+        shape = list(cells)
+        shape[ax] += 1
+        comps.append(rng.standard_normal(shape))
+    m = rng.standard_normal((*cells, nd))
+    lhs = np.sum(ops.interp_centers(comps) * m)
+    rhs = sum(np.sum(c * f) for c, f in zip(comps, ops.interp_centers_adjoint(m)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
