@@ -38,18 +38,18 @@ from .errors import ConfigError, NonConvergenceError
 from .grid import ScalarField
 from .mollify import build_cutoff, build_kernel, mollify_array
 
+# Newton stops once dt times the sup-norm of the residual is below this
+NEWTON_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class BiomassStepConfig:
     dt: float
-    newton_tol: float = 1e-11
     newton_max: int = 40
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigError("biomass step requires dt > 0")
-        if not self.newton_tol > 0:
-            raise ConfigError("newton_tol must be positive")
 
 
 @dataclass
@@ -139,11 +139,11 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     lu_fresh = False
 
     it = 0
-    while res > cfg.newton_tol:
+    while res > NEWTON_TOL:
         if it >= cfg.newton_max:
             raise NonConvergenceError(
                 f"biomass Newton stalled at residual {res:.3e} "
-                f"after {it} iterations (tol {cfg.newton_tol:.1e})",
+                f"after {it} iterations (tol {NEWTON_TOL:.1e})",
                 residual=res,
                 history=history,
             )
@@ -168,7 +168,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
             x_try = x + step * delta
             g_try = _residual(x_try, u_old, growth, v.comps, ws, dt)
             res_try = float(np.abs(g_try).max()) * dt
-            if res_try <= (1.0 - 1e-4 * step) * res or res_try <= cfg.newton_tol:
+            if res_try <= (1.0 - 1e-4 * step) * res or res_try <= NEWTON_TOL:
                 accepted = True
                 break
             step *= 0.5
@@ -177,7 +177,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
             if lu_fresh:
                 raise NonConvergenceError(
                     f"biomass Newton line search failed at residual {res:.3e} "
-                    f"with a current Jacobian (tol {cfg.newton_tol:.1e})",
+                    f"with a current Jacobian (tol {NEWTON_TOL:.1e})",
                     residual=res,
                     history=history,
                 )

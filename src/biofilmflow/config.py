@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 from .constitutive import ModelParams, validate_params
 from .errors import ConfigError

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import ConfigError
 
@@ -68,8 +67,8 @@ def validate_params(p):
         ("nu", p.nu), ("b", p.b), ("u_star", p.u_star), ("delta0", p.delta0),
         ("eps", p.eps), ("mu", p.mu), ("k1", p.k1), ("k2", p.k2),
         ("c_d", p.c_d), ("c_d_prime", p.c_d_prime), ("v_max", p.v_max),
-        ("kappa", p.kappa), ("alpha_exp", p.alpha_exp),
-        ("gamma_exp", p.gamma_exp), ("beta_reg_lambda", p.beta_reg_lambda),
+        ("kappa", p.kappa), ("alpha (alpha_exp)", p.alpha_exp),
+        ("gamma (gamma_exp)", p.gamma_exp), ("beta_reg_lambda", p.beta_reg_lambda),
     ]
     for name, val in positive:
         if not (val > 0) or not math.isfinite(val):
@@ -87,7 +86,7 @@ def validate_params(p):
             "lower mu or raise v_max"
         )
     if not p.alpha_exp > 1:
-        raise ConfigError("alpha_exp must exceed 1 so d1(r)/r -> 0 at r=0")
+        raise ConfigError("alpha (alpha_exp) must exceed 1 so d1(r)/r -> 0 at r=0")
     if not p.c_d <= p.c_d_prime:
         raise ConfigError(f"c_d must not exceed c_d_prime ({p.c_d} > {p.c_d_prime})")
     if not p.beta_reg_lambda < p.u_star:
@@ -165,13 +164,13 @@ def biomass_diffusion_deriv(r, p):
     return out if out.ndim else float(out)
 
 
-def biomass_diffusion_reg(r, p, lam=None):
+def biomass_diffusion_reg(r, p):
     """Globally Lipschitz, monotone surrogate of the diffusion graph.
 
     Equals d1 on [0, u_star - lambda]; continues with the frozen slope
     d1'(u_star - lambda) above; drops with slope 1/lambda below zero.
     """
-    lam = p.beta_reg_lambda if lam is None else float(lam)
+    lam = p.beta_reg_lambda
     r = np.asarray(r, dtype=float)
     cap = p.u_star - lam
     rc = np.clip(r, 0.0, cap)
@@ -184,15 +183,42 @@ def biomass_diffusion_reg(r, p, lam=None):
     return out if out.ndim else float(out)
 
 
-def biomass_diffusion_reg_deriv(r, p, lam=None):
+def biomass_diffusion_reg_deriv(r, p):
     """Slope of the surrogate graph (1/lambda below 0, frozen above cap)."""
-    lam = p.beta_reg_lambda if lam is None else float(lam)
+    lam = p.beta_reg_lambda
     r = np.asarray(r, dtype=float)
     cap = p.u_star - lam
     slope_top = biomass_diffusion_deriv(cap, p)
     mid = biomass_diffusion_deriv(np.clip(r, 0.0, cap), p)
     out = np.where(r < 0.0, 1.0 / lam, np.where(r > cap, slope_top, mid))
     return out if out.ndim else float(out)
+
+
+def _simpson_panels(f, dx):
+    """Three-point Simpson integral over the first interval of every node
+    triple (x_i, x_i+1, x_i+2), for unequal spacings dx."""
+    h1, h2 = dx[:-1], dx[1:]
+    q = h1 / (h1 + h2)
+    qr = q * (h1 / h2)
+    return h1 / 6 * ((3 - q) * f[:-2] + (3 + qr + q) * f[1:-1] - qr * f[2:])
+
+
+def _cumulative_simpson(f, x):
+    """Cumulative composite Simpson integral of f over the nodes x, from 0.
+
+    Even intervals take the rule of the triple they open, odd ones (and
+    the last) the rule of the triple they close. The arithmetic is
+    SciPy's cumulative Simpson rule for unequal intervals, term for term,
+    so the table agrees with it bit for bit.
+    """
+    dx = np.diff(x)
+    opened = _simpson_panels(f, dx)
+    closed = _simpson_panels(f[::-1], dx[::-1])[::-1]
+    sub = np.empty(dx.size)
+    sub[:-1:2] = opened[::2]
+    sub[1::2] = closed[::2]
+    sub[-1] = closed[-1]
+    return np.concatenate(([0.0], np.cumsum(sub)))
 
 
 @lru_cache(maxsize=8)
@@ -209,19 +235,19 @@ def _energy_table(u_star, kappa, alpha, gamma, lam):
     r = u_star * (-np.expm1(-y))
     # d1(r) dr = d1(r) (u_star - r) dy
     integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
-    cum = cumulative_simpson(integrand, x=y, initial=0.0)
+    cum = _cumulative_simpson(integrand, y)
     cap = u_star - lam
     return y, cum, float(cum[-1]), biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
 
 
-def diffusion_energy(r, p, lam=None):
+def diffusion_energy(r, p):
     """Primitive of the (regularized) diffusion slope, zero at zero.
 
     Quadratic extensions outside [0, u_star - lambda] integrate the
     surrogate's linear branches, so the energy is finite and convex on
     the whole line with its minimum at 0.
     """
-    lam = p.beta_reg_lambda if lam is None else float(lam)
+    lam = p.beta_reg_lambda
     y_grid, cum, b_end, d1_end, slope_top = _energy_table(
         p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, lam
     )

@@ -27,7 +27,6 @@ from .constitutive import speed_limit, validate_params
 from .diagnostics import StepDiagnostics, invariant_report
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .flow import (
-    FlowStepConfig,
     FlowTrajectory,
     make_flow_workspace,
     predict_velocity,
@@ -84,19 +83,17 @@ class Stepper:
     bio_cfg: BiomassStepConfig
 
 
-def make_stepper(grid, params, coupling, flow_cfg=None, bio_cfg=None):
+def make_stepper(grid, params, coupling, bio_cfg=None):
     validate_params(params)
-    if flow_cfg is None:
-        flow_cfg = FlowStepConfig(dt=coupling.dt)
     if bio_cfg is None:
         bio_cfg = BiomassStepConfig(dt=coupling.dt)
-    if flow_cfg.dt != coupling.dt or bio_cfg.dt != coupling.dt:
-        raise ConfigError("sub-solver dt differs from the coupling dt")
+    if bio_cfg.dt != coupling.dt:
+        raise ConfigError("biomass step dt differs from the coupling dt")
     return Stepper(
         grid=grid,
         params=params,
         coupling=coupling,
-        flow_ws=make_flow_workspace(grid, params, flow_cfg),
+        flow_ws=make_flow_workspace(grid, params, coupling.dt),
         bio_ws=make_biomass_workspace(grid, params),
         nut_ws=make_nutrient_workspace(grid, params),
         bio_cfg=bio_cfg,
@@ -241,13 +238,12 @@ def picard_step(stepper, state, g, record=None):
     return new_state, diag
 
 
-def run(cfg, on_step=None, record_trajectory=False):
+def run(cfg, record_trajectory=False):
     """Drive a full simulation from a parsed configuration.
 
     Returns (final SimState, list of StepDiagnostics, FlowTrajectory or
-    None). on_step(step_index, state, diag), when given, is called after
-    every accepted step (the CLI uses it to stream output); it runs
-    before invariant enforcement so partial output survives an abort.
+    None). Each step's row and snapshot are written before the
+    invariants are enforced, so partial output survives an abort.
     """
     from .config import initial_state, num_steps
     from .output import SeriesWriter, write_snapshot
@@ -284,6 +280,7 @@ def run(cfg, on_step=None, record_trajectory=False):
             state, diag = picard_step(stepper, state, g, record=record)
             diag = replace(diag, step=n + 1)
             diags.append(diag)
+            obstacle = workspace_obstacle(stepper.flow_ws, state.u)
             if writer is not None:
                 writer.write_row(diag)
                 if cfg.output.snapshot_every and (n + 1) % cfg.output.snapshot_every == 0:
@@ -293,16 +290,9 @@ def run(cfg, on_step=None, record_trajectory=False):
                         out_dir,
                         n + 1,
                         cfg.output.snapshot_fields,
-                        obstacle=workspace_obstacle(stepper.flow_ws, state.u),
+                        obstacle=obstacle,
                     )
-            if on_step is not None:
-                on_step(n + 1, state, diag)
-            rep = invariant_report(
-                state,
-                params,
-                obstacle=workspace_obstacle(stepper.flow_ws, state.u),
-                feas_tol=1e-6,
-            )
+            rep = invariant_report(state, params, obstacle=obstacle, feas_tol=1e-6)
             if not rep.ok:
                 names = ", ".join(
                     f"{c.name} (margin {c.margin:.3e})" for c in rep.failures()

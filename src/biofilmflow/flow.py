@@ -36,20 +36,14 @@ from .grid import ScalarField, VectorField
 from .mollify import build_cutoff, build_kernel, mollify_array
 
 
-@dataclass(frozen=True)
-class FlowStepConfig:
-    """Flow-step tolerances; max_sweeps caps the projection iterations."""
-
-    dt: float
-    feas_tol: float = 1e-9
-    step_tol: float = 1e-9
-    max_sweeps: int = 200000
-    predict_tol: float = 1e-14
-    predict_max_iters: int = 60
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError("flow step requires dt > 0")
+# projection onto K: speed excess and divergence bound, primal increment
+# bound, iteration cap
+FEAS_TOL = 1e-9
+STEP_TOL = 1e-9
+PROJECT_MAX_ITERS = 200000
+# predictor fixed point: relative increment bound, iteration cap
+PREDICT_TOL = 1e-14
+PREDICT_MAX_ITERS = 60
 
 
 @dataclass
@@ -73,19 +67,21 @@ class ObstacleField:
 class FlowWorkspace:
     grid: object
     params: object
-    cfg: FlowStepConfig
+    dt: float
     kernel_eps: object
     cutoff: np.ndarray
     helmholtz_eig: tuple  # per component: 1 + dt nu (eigenvalues of A_ax)
     poincare: float
 
 
-def make_flow_workspace(grid, params, cfg):
-    c = cfg.dt * params.nu
+def make_flow_workspace(grid, params, dt):
+    if not dt > 0:
+        raise ConfigError("flow step requires dt > 0")
+    c = dt * params.nu
     return FlowWorkspace(
         grid=grid,
         params=params,
-        cfg=cfg,
+        dt=dt,
         kernel_eps=build_kernel(params.eps, grid),
         cutoff=build_cutoff(grid, params.mu).values,
         helmholtz_eig=tuple(
@@ -101,13 +97,14 @@ def _laplace_1d_eig(n, h, k):
 
 
 def _sine_eigenvalues(grid, axis):
-    """Eigenvalues of ``ops.component_laplacian(grid, axis)``, laid out on
-    the interior faces of that component.
+    """Eigenvalues of the vector-Laplacian block A_axis, laid out on the
+    interior faces of component axis.
 
     The block is a Kronecker sum of 1D stencils. Along its own axis the
-    n - 1 Dirichlet nodes are diagonalized by DST-I (k = 1..n-1); along
-    the other axes the ghost-reflected cell stencil (end coefficient 3)
-    is diagonalized by DST-II (k = 1..n). Schumann & Sweet, J. Comput.
+    boundary faces are pinned at zero and the n - 1 Dirichlet nodes are
+    diagonalized by DST-I (k = 1..n-1); along the other axes the wall
+    value acts by ghost reflection and the cell stencil (end coefficient
+    3) is diagonalized by DST-II (k = 1..n). Schumann & Sweet, J. Comput.
     Phys. 75 (1988).
     """
     lam = np.zeros(_interior_shape(grid, axis))
@@ -119,20 +116,22 @@ def _sine_eigenvalues(grid, axis):
     return lam
 
 
-def _helmholtz_solve(rhs, eig, axis):
-    """Solve (I + dt nu A_axis) x = rhs on the interior faces of a component.
+def _sine_apply(x, diag, axis, op):
+    """Combine the interior faces x of component axis with a diagonal in
+    the orthonormal sine basis of ``_sine_eigenvalues``: transform,
+    op(coefficients, diag), transform back.
 
-    ``eig`` holds the diagonal of the operator in the orthonormal sine
-    basis of ``_sine_eigenvalues``, so the solve is exact: transform,
-    divide, transform back.
+    With np.multiply and the eigenvalues this applies A_axis; with
+    np.divide and 1 + dt nu (eigenvalues) it solves the Helmholtz block
+    I + dt nu A_axis exactly.
     """
-    if rhs.size == 0:
-        return rhs.copy()
-    kinds = [1 if ax == axis else 2 for ax in range(rhs.ndim)]
-    coef = rhs
+    if x.size == 0:
+        return x.copy()
+    kinds = [1 if ax == axis else 2 for ax in range(x.ndim)]
+    coef = x
     for ax, kind in enumerate(kinds):
         coef = dst(coef, type=kind, axis=ax, norm="ortho")
-    coef = coef / eig
+    coef = op(coef, diag)
     for ax, kind in enumerate(kinds):
         coef = idst(coef, type=kind, axis=ax, norm="ortho")
     return coef
@@ -154,14 +153,12 @@ def poincare_constant(grid):
 def vector_laplacian(grid, comps):
     """A v for a face field, component by component; boundary faces stay 0.
 
-    A_ax is ``ops.component_laplacian(grid, ax)`` acting on the interior
-    faces of component ax.
+    A_ax acts on the interior faces of component ax and is applied in the
+    sine basis that diagonalizes it, the basis the predictor solves in.
     """
     return [
         ops.embed_interior(
-            (ops.component_laplacian(grid, ax) @ ops.interior_faces(c, ax).ravel()).reshape(
-                _interior_shape(grid, ax)
-            ),
+            _sine_apply(ops.interior_faces(c, ax), _sine_eigenvalues(grid, ax), ax, np.multiply),
             grid,
             ax,
         )
@@ -249,7 +246,7 @@ def _shrink_cells(z, obs):
     return z * keep[..., None]
 
 
-def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
+def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL):
     """Metric projection onto K(obs) by an accelerated dual gradient.
 
     With M the face-to-center average and lam the per-cell multipliers
@@ -269,6 +266,8 @@ def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
     step_tol; plain feasibility is reached early by iterates that are
     still far from the projection, so it alone is not a safe stop. The
     pressure is the potential of the final affine projection over dt.
+    A non-finite excess or divergence (speeds whose squares overflow)
+    raises StabilityError at once; no iteration can recover from it.
     """
     grid = v.grid
     h = grid.h
@@ -278,7 +277,7 @@ def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
     x, phi = _project_affine(y_in, h)
     m = ops.interp_centers(x)
     y, m_y, t = lam, m, 1.0
-    for it in range(max_sweeps):
+    for it in range(PROJECT_MAX_ITERS):
         lam_new = _shrink_cells(y + m_y, r)
         if not np.array_equal(lam_new, lam):
             # x(lam) moves only with lam; an unmoved dual keeps x and phi
@@ -289,6 +288,12 @@ def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
             x_new, m_new = x, m
         excess = float(np.max(np.sqrt(np.sum(m_new * m_new, axis=-1)) - r))
         dv = float(np.abs(ops.divergence(x_new, h)).max())
+        if not (np.isfinite(excess) and np.isfinite(dv)):
+            raise StabilityError(
+                f"constraint projection met non-finite speeds (excess {excess:.3e}, "
+                f"div {dv:.3e}); reduce dt or the forcing",
+                residual=max(excess, dv),
+            )
         inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
         if excess <= feas_tol and dv <= feas_tol and inc <= step_tol:
             res = ops.neumann_laplacian_apply(phi, h) - ops.divergence(
@@ -311,7 +316,7 @@ def project_K(v, obs, dt, feas_tol=1e-9, step_tol=1e-11, max_sweeps=200000):
             t = t_new
         lam, x, m = lam_new, x_new, m_new
     raise NonConvergenceError(
-        f"constraint projection did not settle in {max_sweeps} iterations "
+        f"constraint projection did not settle in {PROJECT_MAX_ITERS} iterations "
         f"(excess {excess:.3e}, div {dv:.3e}, step {inc:.3e})",
         residual=max(excess, dv),
     )
@@ -325,7 +330,7 @@ def predict_velocity(ws, v, g):
     """Solve (I + dt nu A + dt N(v_old, .)) v* = v_old + dt g.
 
     Matrix-free fixed point on the convection term; each pass solves the
-    Helmholtz part exactly by sine transforms (``_helmholtz_solve``). The
+    Helmholtz part exactly by sine transforms (``_sine_apply``). The
     contraction factor is O(dt |v| / h), so at advective CFL numbers well
     below one this settles in a handful of iterations. Failure to
     contract is reported as a stability problem (the remedy is a smaller
@@ -334,7 +339,7 @@ def predict_velocity(ws, v, g):
     viscous form (A v*, v*) h^n).
     """
     grid = ws.grid
-    dt = ws.cfg.dt
+    dt = ws.dt
     rhs = [
         ops.interior_faces(vc, ax) + dt * ops.interior_faces(gc, ax)
         for ax, (vc, gc) in enumerate(zip(v.comps, g.comps))
@@ -343,12 +348,15 @@ def predict_velocity(ws, v, g):
         ops.embed_interior(ops.interior_faces(vc, ax), grid, ax) for ax, vc in enumerate(v.comps)
     ]
     iters = 0
-    for it in range(ws.cfg.predict_max_iters):
+    for it in range(PREDICT_MAX_ITERS):
         adv = ops.mac_advection(v.comps, comps, grid.h)
         new = [
             ops.embed_interior(
-                _helmholtz_solve(
-                    rhs[ax] - dt * ops.interior_faces(adv[ax], ax), ws.helmholtz_eig[ax], ax
+                _sine_apply(
+                    rhs[ax] - dt * ops.interior_faces(adv[ax], ax),
+                    ws.helmholtz_eig[ax],
+                    ax,
+                    np.divide,
                 ),
                 grid,
                 ax,
@@ -363,7 +371,7 @@ def predict_velocity(ws, v, g):
         scale = max(1.0, max(float(np.abs(a).max(initial=0.0)) for a in new))
         comps = new
         iters = it + 1
-        if diff <= ws.cfg.predict_tol * scale:
+        if diff <= PREDICT_TOL * scale:
             break
     else:
         raise StabilityError(
@@ -390,14 +398,7 @@ def step_flow(ws, v_star, u):
     projection scaled by 1/dt, mean-zero by construction.
     """
     obs = workspace_obstacle(ws, u)
-    v_new, pressure, info = project_K(
-        VectorField(ws.grid, tuple(v_star)),
-        obs,
-        ws.cfg.dt,
-        feas_tol=ws.cfg.feas_tol,
-        step_tol=ws.cfg.step_tol,
-        max_sweeps=ws.cfg.max_sweeps,
-    )
+    v_new, pressure, info = project_K(VectorField(ws.grid, tuple(v_star)), obs, ws.dt)
     report = FlowStepReport(
         dykstra_sweeps=info["sweeps"],
         max_excess=info["max_excess"],

@@ -197,18 +197,3 @@ class VectorField:
     def copy(self):
         return VectorField(self.grid, tuple(c.copy() for c in self.comps))
 
-
-def interpolate_to_centers(vf):
-    """Average the two adjacent face values per axis; shape (*cells, dim).
-
-    Linear in the field, exact for componentwise-linear data.
-    """
-    nd = vf.grid.dim
-    cols = []
-    for ax, c in enumerate(vf.comps):
-        lo = [slice(None)] * nd
-        hi = [slice(None)] * nd
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        cols.append(0.5 * (c[tuple(lo)] + c[tuple(hi)]))
-    return np.stack(cols, axis=-1)

@@ -66,8 +66,8 @@ def convection_cfl(v, dt, h):
 def _apply_diffusion(x, face_diff, h):
     """Matrix-free -div(d grad x) with no-flux boundaries.
 
-    Same stencil as ops.scalar_diffusion_matrix (flux exchange across
-    interior faces), applied directly to the cell array.
+    Each interior face exchanges the flux d (x_hi - x_lo) / h^2 between
+    its two cells; boundary faces carry none.
     """
     dim = x.ndim
     out = np.zeros_like(x)

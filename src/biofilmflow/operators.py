@@ -235,19 +235,6 @@ def laplace_1d(n, h, lo, hi):
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
 
 
-def laplace_1d_nodes(n_cells, h):
-    """1D negative Laplacian on the n_cells-1 interior face nodes.
-
-    End values (the boundary faces) are Dirichlet zero and eliminated.
-    """
-    m = n_cells - 1
-    if m <= 0:
-        return sp.csr_matrix((max(m, 0), max(m, 0)))
-    main = np.full(m, 2.0)
-    off = np.full(m - 1, -1.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-
-
 def kron_sum(ops):
     """sum_i I x ... x ops[i] x ... x I for a list of square operators."""
     sizes = [op.shape[0] for op in ops]
@@ -259,24 +246,6 @@ def kron_sum(ops):
             term = sp.kron(term, factor, format="csr")
         total = term if total is None else total + term
     return total
-
-
-@lru_cache(maxsize=32)
-def component_laplacian(grid, axis):
-    """Vector-Laplacian block for velocity component ``axis`` (CSR).
-
-    Unknowns are the interior faces of that component in C order.
-    Along the component's own axis the boundary faces are Dirichlet
-    nodes (eliminated); along the other axes the walls act through
-    ghost reflection of the tangential value.
-    """
-    ops = []
-    for ax in range(grid.dim):
-        if ax == axis:
-            ops.append(laplace_1d_nodes(grid.cells[ax], grid.h[ax]))
-        else:
-            ops.append(laplace_1d(grid.cells[ax], grid.h[ax], "dirichlet_face", "dirichlet_face"))
-    return kron_sum(ops)
 
 
 @lru_cache(maxsize=32)
@@ -312,38 +281,6 @@ def embed_interior(values, grid, axis):
     full = np.zeros(grid.face_shape(axis))
     full[axslice(grid.dim, axis, slice(1, -1))] = values
     return full
-
-
-@lru_cache(maxsize=32)
-def _diffusion_indices(grid):
-    """Raveled (row, col) index arrays per axis for face-flux assembly."""
-    idx = np.arange(int(np.prod(grid.cells))).reshape(grid.cells)
-    out = []
-    for ax in range(grid.dim):
-        lo = idx[axslice(grid.dim, ax, slice(None, -1))].ravel()
-        hi = idx[axslice(grid.dim, ax, slice(1, None))].ravel()
-        out.append((lo, hi))
-    return out
-
-
-def scalar_diffusion_matrix(grid, face_diff):
-    """Stiffness matrix from per-axis interior-face diffusivities.
-
-    face_diff[ax] has the shape of interior faces along ax. No-flux
-    boundaries everywhere (boundary faces simply absent). Rows sum to
-    zero, off-diagonals are nonpositive: an M-matrix.
-    """
-    ncell = int(np.prod(grid.cells))
-    rows, cols, vals = [], [], []
-    for ax, (lo, hi) in enumerate(_diffusion_indices(grid)):
-        d = (face_diff[ax] / grid.h[ax] ** 2).ravel()
-        rows.extend([lo, hi, lo, hi])
-        cols.extend([lo, hi, hi, lo])
-        vals.extend([d, d, -d, -d])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ncell, ncell))
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,12 @@ def _take(kv, key, default=None, conv=float):
     if key in kv:
         raw = kv.pop(key)
         try:
-            return conv(raw)
+            val = conv(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value {raw!r} for preset key {key!r}: {exc}") from None
+        if conv is float and not np.isfinite(val):
+            raise ConfigError(f"non-finite value {raw!r} for preset key {key!r}")
+        return val
     if default is None:
         raise ConfigError(f"preset is missing required key {key!r}")
     return default

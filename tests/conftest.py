@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, minimize
 
+from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams
 from biofilmflow.grid import Grid, VectorField, build_grid
 
@@ -90,6 +92,42 @@ def potential_field_3d(grid, rng, amplitude=1.0):
     scale = max(np.abs(vx).max(), np.abs(vy).max(), np.abs(vz).max(), 1e-30)
     f = amplitude / scale
     return VectorField(grid, (f * vx, f * vy, f * vz))
+
+
+# ---------------------------------------------------------------------------
+# assembled viscous operator (oracle for the sine-transform apply and solve)
+# ---------------------------------------------------------------------------
+
+def laplace_1d_nodes(n_cells, h):
+    """1D negative Laplacian on the n_cells-1 interior face nodes.
+
+    End values (the boundary faces) are Dirichlet zero and eliminated.
+    """
+    m = n_cells - 1
+    if m <= 0:
+        return sp.csr_matrix((max(m, 0), max(m, 0)))
+    main = np.full(m, 2.0)
+    off = np.full(m - 1, -1.0)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+
+
+def component_laplacian(grid, axis):
+    """Vector-Laplacian block for velocity component ``axis`` (CSR).
+
+    Unknowns are the interior faces of that component in C order.
+    Along the component's own axis the boundary faces are Dirichlet
+    nodes (eliminated); along the other axes the walls act through
+    ghost reflection of the tangential value.
+    """
+    blocks = []
+    for ax in range(grid.dim):
+        if ax == axis:
+            blocks.append(laplace_1d_nodes(grid.cells[ax], grid.h[ax]))
+        else:
+            blocks.append(
+                ops.laplace_1d(grid.cells[ax], grid.h[ax], "dirichlet_face", "dirichlet_face")
+            )
+    return ops.kron_sum(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,20 @@ def test_bad_config_exits_two(tmp_path):
     res = _cli("--config", str(path), "--validate-only")
     assert res.returncode == 2
     assert "mu" in res.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_speeds_exit_three_at_once(tmp_path, capsys):
+    # the predictor stays finite (about 4e304) but the projection's squared
+    # speeds overflow; the run must stop there, not spin through the
+    # projection's iteration budget
+    path = tmp_path / "huge.ini"
+    path.write_text(
+        "[grid]\ncells = 8 4\n\n[time]\ndt = 0.04\n\n"
+        "[initial]\ng = constant gx=4.2 gy=1e306\n"
+    )
+    assert main(["--config", str(path), "--steps", "1", "--out-dir", "none"]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_infeasible_initial_data_exits_two(tmp_path):

@@ -110,8 +110,8 @@ def test_malformed_values_name_the_key():
 def test_model_invariants_enforced():
     with pytest.raises(ConfigError, match="mu"):
         parse_config("[model]\nmu = 0.4\n")  # >= delta0
-    with pytest.raises(ConfigError, match="alpha_exp"):
-        parse_config("[model]\nalpha_exp = 1.0\n")
+    with pytest.raises(ConfigError, match=r"alpha \(alpha_exp\) must exceed 1"):
+        parse_config("[model]\nalpha = 1.0\n")
     with pytest.raises(ConfigError, match="c_d"):
         parse_config("[model]\nc_d = 0.03\nc_d_prime = 0.02\n")
     with pytest.raises(ConfigError, match="nu"):
@@ -210,6 +210,14 @@ def test_preset_values_and_vectors_validated():
         initial_state(parse_config("[initial]\nu = gaussian-blob amplitude=high\n"))
     with pytest.raises(ConfigError, match="non-finite"):
         initial_state(parse_config("[initial]\ng = constant gx=1 gy=inf\n"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_nonfinite_preset_number_rejected_before_use():
+    # inf * 0 at the swirl centre would warn before the field is checked
+    cfg = parse_config("[grid]\ncells = 5 5\n\n[initial]\ng = swirl amplitude=inf\n")
+    with pytest.raises(ConfigError, match="non-finite.*amplitude"):
+        initial_state(cfg)
 
 
 def test_stripe_preset_fills_the_grid():

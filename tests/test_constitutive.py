@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from biofilmflow import constitutive
 from biofilmflow.constitutive import (
     ModelParams,
     biomass_diffusion,
@@ -173,6 +179,38 @@ def test_energy_matches_quadrature_oracle(p):
         )
         assert err < 1e-10 * max(1.0, ref)
         assert diffusion_energy(r, p) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "u_star, kappa, alpha, gamma, lam",
+    [
+        (1.0, 0.5, 2.0, 1.0, 1e-3),
+        (2.0, 0.3, 1.5, 2.0, 1e-6),
+        (1.0, 1.0, 3.0, 0.5, 1e-9),
+        (0.7, 0.2, 1.1, 1.3, 0.05),
+    ],
+)
+def test_energy_table_equals_scipy_cumulative_simpson(u_star, kappa, alpha, gamma, lam):
+    # one bit of difference in the table moves phi_u in the series
+    from scipy.integrate import cumulative_simpson
+
+    y, cum, *_ = constitutive._energy_table(u_star, kappa, alpha, gamma, lam)
+    r = u_star * (-np.expm1(-y))
+    integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
+    assert np.array_equal(cum, cumulative_simpson(integrand, x=y, initial=0.0))
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    # run against the copy of the package this module imported
+    src = str(Path(constitutive.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, biofilmflow; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_energy_zero_and_convex_extensions(p):

@@ -20,7 +20,7 @@ from biofilmflow.coupling import (
 )
 from biofilmflow.diagnostics import invariant_report
 from biofilmflow.errors import ConfigError, NonConvergenceError
-from biofilmflow.flow import FlowStepConfig, predict_velocity, step_flow, workspace_obstacle
+from biofilmflow.flow import predict_velocity, step_flow, workspace_obstacle
 from biofilmflow.grid import ScalarField, VectorField, build_grid
 from biofilmflow.nutrient import step_nutrient
 from biofilmflow.presets import build_vector
@@ -158,7 +158,7 @@ def test_stepper_rejects_mismatched_dt(params):
     g = build_grid(2, (1.0, 1.0), (8, 8), ("left",))
     coupling = CouplingConfig(dt=1e-3, t_end=1e-2)
     with pytest.raises(ConfigError):
-        make_stepper(g, params, coupling, flow_cfg=FlowStepConfig(dt=2e-3))
+        make_stepper(g, params, coupling, bio_cfg=BiomassStepConfig(dt=2e-3))
 
 
 def test_coupling_config_guards():

@@ -5,16 +5,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import dense_projection_reference, stream_field_2d
+from conftest import component_laplacian, dense_projection_reference, stream_field_2d
 
 from biofilmflow import operators as ops
-from biofilmflow.constitutive import ModelParams, speed_limit, speed_limit_reg
-from biofilmflow.errors import ConfigError
+from biofilmflow.constitutive import speed_limit, speed_limit_reg
+from biofilmflow.errors import ConfigError, StabilityError
 from biofilmflow.flow import (
-    FlowStepConfig,
     FlowTrajectory,
     ObstacleField,
-    build_obstacle,
     constraint_excess,
     convection_form,
     flow_energy_check,
@@ -25,6 +23,7 @@ from biofilmflow.flow import (
     predict_velocity,
     project_K,
     step_flow,
+    vector_laplacian,
     vi_residual,
     workspace_obstacle,
 )
@@ -33,8 +32,7 @@ from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
 
 def _workspace(params, cells=(16, 16), dt=1e-3, gamma0=("left",)):
     g = build_grid(2, (1.0, 1.0), cells, gamma0)
-    cfg = FlowStepConfig(dt=dt)
-    return make_flow_workspace(g, params, cfg), g
+    return make_flow_workspace(g, params, dt), g
 
 
 def _full_step(ws, v, u, gforce):
@@ -175,9 +173,9 @@ def test_predict_matches_direct_helmholtz_solve(params):
     rng = np.random.default_rng(1)
     gforce = _random_zero_boundary(g, rng)
     comps, _, _ = predict_velocity(ws, VectorField.zeros(g), gforce)
-    dt = ws.cfg.dt
+    dt = ws.dt
     for ax in range(2):
-        A = ops.component_laplacian(g, ax)
+        A = component_laplacian(g, ax)
         M = sp.identity(A.shape[0], format="csr") + dt * params.nu * A
         rhs = dt * ops.interior_faces(gforce.comps[ax], ax).ravel()
         ref = spla.spsolve(M.tocsc(), rhs)
@@ -203,12 +201,12 @@ def test_helmholtz_transform_solve_residual(params, extents, cells):
     # the right-hand side (dt large, so the Laplacian dominates)
     g = build_grid(len(cells), extents, cells, ("left",))
     dt = 0.5
-    ws = make_flow_workspace(g, params, FlowStepConfig(dt=dt))
+    ws = make_flow_workspace(g, params, dt)
     rng = np.random.default_rng(sum(cells))
     gforce = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)))
     comps, _, _ = predict_velocity(ws, VectorField.zeros(g), gforce)
     for ax in range(g.dim):
-        A = ops.component_laplacian(g, ax)
+        A = component_laplacian(g, ax)
         x = ops.interior_faces(comps[ax], ax).ravel()
         rhs = dt * ops.interior_faces(gforce.comps[ax], ax).ravel()
         assert x.size == A.shape[0]
@@ -216,6 +214,34 @@ def test_helmholtz_transform_solve_residual(params, extents, cells):
             continue
         res = x + dt * params.nu * (A @ x) - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize(
+    "extents, cells",
+    [
+        ((1.0, 1.0), (64, 64)),
+        ((2.0, 0.7), (17, 9)),
+        ((1.0, 0.3), (12, 1)),
+        ((1.0, 2.0, 3.0), (5, 6, 7)),
+        ((1.0, 1.0, 1.0), (24, 24, 24)),
+        ((1.5, 0.4, 1.0), (4, 1, 3)),
+    ],
+)
+def test_vector_laplacian_matches_assembled_operator(extents, cells):
+    # the sine-basis apply against the Kronecker-assembled blocks
+    g = build_grid(len(cells), extents, cells, ("left",))
+    rng = np.random.default_rng(sum(cells))
+    comps = [rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)]
+    got = vector_laplacian(g, comps)
+    for ax in range(g.dim):
+        assert np.abs(got[ax][ops.axslice(g.dim, ax, 0)]).max(initial=0.0) == 0.0
+        assert np.abs(got[ax][ops.axslice(g.dim, ax, -1)]).max(initial=0.0) == 0.0
+        x = ops.interior_faces(comps[ax], ax).ravel()
+        ref = component_laplacian(g, ax) @ x
+        if ref.size == 0:
+            continue
+        err = np.linalg.norm(ops.interior_faces(got[ax], ax).ravel() - ref)
+        assert err <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_predict_unforced_contracts_kinetic_energy(params):
@@ -289,6 +315,20 @@ def test_project_K_with_loose_obstacle_is_leray(params):
     ref, p_ref, _ = pressure_project(v, dt=1e-3)
     assert max(np.abs(a - b).max() for a, b in zip(got.comps, ref.comps)) < 1e-10
     assert np.abs(p_got.values - p_ref.values).max() < 1e-7 * np.abs(p_ref.values).max()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_project_K_fails_fast_on_nonfinite_speeds(params):
+    # a finite predictor whose squared speeds overflow: no iteration can
+    # make the excess finite, so the projection stops at its first one
+    # rather than spending its whole iteration budget
+    ws, g = _workspace(params, cells=(8, 4), dt=0.04)
+    gforce = VectorField(g, (np.full(g.face_shape(0), 4.2), np.full(g.face_shape(1), 1e306)))
+    star, _, _ = predict_velocity(ws, VectorField.zeros(g), gforce)
+    assert all(np.isfinite(c).all() for c in star)
+    obs = workspace_obstacle(ws, ScalarField.zeros(g))
+    with pytest.raises(StabilityError, match="non-finite"):
+        project_K(VectorField(g, tuple(star)), obs, ws.dt)
 
 
 def _check_against_dense_oracle(cells, first_seed):
@@ -388,7 +428,7 @@ def test_step_flow_energy_ledger(params):
         kin.append(ops.face_l2_sq(list(v.comps), vol))
         visc.append(viscous)
         forc.append(ops.face_l2_sq(list(gforce.comps), vol))
-    ratio = flow_energy_check(kin, visc, forc, params.nu, ws.poincare, ws.cfg.dt)
+    ratio = flow_energy_check(kin, visc, forc, params.nu, ws.poincare, ws.dt)
     assert ratio <= 1.0 + 1e-6
 
 
@@ -436,7 +476,7 @@ def _recorded_trajectory(params, n_steps=5):
     u = ScalarField.zeros(g)
     u.values[5:11, 5:11] = 0.8
     gforce = stream_field_2d(g, rng, amplitude=20.0)
-    traj = FlowTrajectory(g, ws.cfg.dt, params.nu)
+    traj = FlowTrajectory(g, ws.dt, params.nu)
     v = VectorField.zeros(g)
     traj.start(v)
     for _ in range(n_steps):
@@ -474,7 +514,7 @@ def test_vi_residual_rejects_infeasible_eta(params):
 def test_poincare_constant_against_dense_eig(params):
     g = Grid((1.0, 1.5), (6, 5))
     lam = min(
-        np.linalg.eigvalsh(ops.component_laplacian(g, ax).toarray())[0]
+        np.linalg.eigvalsh(component_laplacian(g, ax).toarray())[0]
         for ax in range(2)
     )
     expected = 1.0 / np.sqrt(lam * (1.0 - 1e-9))
@@ -487,6 +527,7 @@ def test_poincare_constant_near_continuum(params):
     assert poincare_constant(g) == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)), rel=0.01)
 
 
-def test_flow_config_guards():
+def test_flow_config_guards(params):
+    g = build_grid(2, (1.0, 1.0), (8, 8), ("left",))
     with pytest.raises(ConfigError):
-        FlowStepConfig(dt=0.0)
+        make_flow_workspace(g, params, 0.0)

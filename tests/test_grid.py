@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biofilmflow import operators as ops
 from biofilmflow.errors import ConfigError
 from biofilmflow.grid import (
     Grid,
@@ -10,7 +11,6 @@ from biofilmflow.grid import (
     VectorField,
     build_grid,
     edge_names,
-    interpolate_to_centers,
 )
 
 
@@ -71,14 +71,14 @@ def test_gamma0_distance_left_edge():
 def test_interp_uniform_faces():
     g = build_grid(2, (1.0, 1.0), (8, 8), ("left",))
     vf = VectorField(g, (np.full(g.face_shape(0), 3.0), np.full(g.face_shape(1), -1.5)))
-    m = interpolate_to_centers(vf)
+    m = ops.interp_centers(list(vf.comps))
     assert np.allclose(m[..., 0], 3.0)
     assert np.allclose(m[..., 1], -1.5)
 
 
 def test_interp_zero():
     g = build_grid(2, (1.0, 1.0), (8, 8), ("left",))
-    m = interpolate_to_centers(VectorField.zeros(g))
+    m = ops.interp_centers(list(VectorField.zeros(g).comps))
     assert not m.any()
 
 
@@ -90,7 +90,7 @@ def test_interp_linear_exact():
     vx = np.broadcast_to((2.0 * xf - 0.7)[:, None], g.face_shape(0)).copy()
     yf = np.linspace(0.0, g.extents[1], g.cells[1] + 1)
     vy = np.broadcast_to((0.5 - 3.0 * yf)[None, :], g.face_shape(1)).copy()
-    m = interpolate_to_centers(VectorField(g, (vx, vy)))
+    m = ops.interp_centers([vx, vy])
     xc = g.center_mesh()[0]
     yc = g.center_mesh()[1]
     assert np.allclose(m[..., 0], np.broadcast_to(2.0 * xc - 0.7, g.cells), atol=1e-14)
@@ -105,8 +105,8 @@ def test_interp_linearity(seed, a, b):
     f = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     k = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     combo = VectorField(g, tuple(a * fc + b * kc for fc, kc in zip(f.comps, k.comps)))
-    lhs = interpolate_to_centers(combo)
-    rhs = a * interpolate_to_centers(f) + b * interpolate_to_centers(k)
+    lhs = ops.interp_centers(list(combo.comps))
+    rhs = a * ops.interp_centers(list(f.comps)) + b * ops.interp_centers(list(k.comps))
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 

@@ -23,6 +23,49 @@ from biofilmflow.nutrient import (
 )
 
 
+def _diffusion_indices(grid):
+    """Raveled (row, col) index arrays per axis for face-flux assembly."""
+    idx = np.arange(int(np.prod(grid.cells))).reshape(grid.cells)
+    out = []
+    for ax in range(grid.dim):
+        lo = idx[ops.axslice(grid.dim, ax, slice(None, -1))].ravel()
+        hi = idx[ops.axslice(grid.dim, ax, slice(1, None))].ravel()
+        out.append((lo, hi))
+    return out
+
+
+def scalar_diffusion_matrix(grid, face_diff):
+    """Stiffness matrix from per-axis interior-face diffusivities.
+
+    face_diff[ax] has the shape of interior faces along ax. No-flux
+    boundaries everywhere (boundary faces simply absent). Rows sum to
+    zero, off-diagonals are nonpositive: an M-matrix. The assembled
+    oracle for the nutrient step's matrix-free diffusion.
+    """
+    ncell = int(np.prod(grid.cells))
+    rows, cols, vals = [], [], []
+    for ax, (lo, hi) in enumerate(_diffusion_indices(grid)):
+        d = (face_diff[ax] / grid.h[ax] ** 2).ravel()
+        rows.extend([lo, hi, lo, hi])
+        cols.extend([lo, hi, hi, lo])
+        vals.extend([d, d, -d, -d])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(ncell, ncell))
+
+
+def test_scalar_diffusion_matrix_m_matrix():
+    g = Grid((1.0, 1.0), (5, 5))
+    rng = np.random.default_rng(12)
+    fd = [rng.uniform(0.5, 2.0, (4, 5)), rng.uniform(0.5, 2.0, (5, 4))]
+    A = scalar_diffusion_matrix(g, fd).toarray()
+    assert np.allclose(A, A.T)
+    off = A - np.diag(np.diag(A))
+    assert (off <= 1e-15).all()
+    assert (np.diag(A) >= 0).all()
+    assert np.abs(A.sum(axis=1)).max() < 1e-12  # no-flux rows sum to zero
+
 def test_saturated_medium_is_fixed_point(params):
     g = Grid((1.0, 1.0), (12, 12))
     ws = make_nutrient_workspace(g, params)
@@ -233,7 +276,7 @@ def test_iterative_solve_matches_direct_factorization(params):
 
     u_tilde = np.clip(mollify_array(u.values, ws.kernel_mu), 0.0, params.u_star)
     face = _face_diffusivity(nutrient_diffusivity(u_tilde, params), g)
-    stiff = ops.scalar_diffusion_matrix(g, face)
+    stiff = scalar_diffusion_matrix(g, face)
     coeff = dt * params.k1 * u_tilde / (params.k2 + np.maximum(w.values, 0.0))
     ncell = stiff.shape[0]
     system = sp.eye(ncell) + dt * stiff + sp.diags(coeff.ravel())

