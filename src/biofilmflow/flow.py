@@ -379,7 +379,14 @@ def predict_velocity(ws, v, g):
             "the advective CFL number is too large, reduce dt",
             residual=diff,
         )
-    viscous = ops.face_dot(vector_laplacian(grid, comps), comps, grid.cell_volume)
+    # a finite v* can still overflow here; report that as an error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        viscous = ops.face_dot(vector_laplacian(grid, comps), comps, grid.cell_volume)
+    if not np.isfinite(viscous):
+        raise StabilityError(
+            "velocity predictor's viscous form (A v*, v*) is non-finite; "
+            "reduce dt or the forcing"
+        )
     return comps, iters, viscous
 
 

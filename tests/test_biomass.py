@@ -6,10 +6,12 @@ from scipy.integrate import solve_ivp
 
 from conftest import stream_field_2d
 
+from biofilmflow import biomass
 from biofilmflow import operators as ops
 from biofilmflow.biomass import (
     NEWTON_TOL,
     BiomassStepConfig,
+    _jacobian,
     biomass_energy,
     make_biomass_workspace,
     step_biomass,
@@ -172,6 +174,66 @@ def test_result_independent_of_workspace_history(params):
     out_fresh, _ = step_biomass(ws_fresh, u, w, v, cfg)
     # both runs satisfy the same residual tolerance; answers agree to solver tol
     assert np.abs(out_warm.values - out_fresh.values).max() <= 1e-9
+
+
+def test_jacobian_is_column_dominant_by_reaction_margin(params):
+    # S is weakly column dominant with nonpositive off-diagonals and the
+    # slopes are >= 0, so every column of J beats its off-diagonal sum by
+    # at least 1/dt + b - growth; that is what makes diagonal pivots stable
+    g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
+    ws = make_biomass_workspace(g, params)
+    dt = 1e-3
+    rng = np.random.default_rng(2)
+    # the u < 0 penalty branch, slope-free zeros and the frozen cap slope
+    x = rng.uniform(-0.05, params.u_star, g.cells)
+    x[0, 0, :] = 0.0
+    x[-1, -1, :] = params.u_star
+    growth = consumption_rate(rng.uniform(0.0, 1.0, g.cells), params)
+    jac = _jacobian(x, growth, ws, dt).toarray()
+    diag = np.abs(np.diag(jac))
+    margin = diag - (np.abs(jac).sum(axis=0) - diag)
+    floor = 1.0 / dt + params.b - growth.max()
+    assert floor > 0.0
+    assert margin.min() >= floor * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "k1, dt",
+    [(0.5, 1e-3), (20.0, 0.6)],  # dt (k1 - b) = 4e-4, then 11.9 > 1
+)
+def test_factorization_directions_match_dense_solve(monkeypatch, k1, dt):
+    # every factorization a step makes solves its Jacobian as well as a
+    # dense solve: with diagonal pivots while the Jacobian is column
+    # dominant, with row pivoting once growth outruns 1/dt + b
+    factored = []
+    splu = biomass.splu
+
+    def recording_splu(a, **kwargs):
+        lu = splu(a, **kwargs)
+        factored.append((a.toarray(), lu))
+        return lu
+
+    monkeypatch.setattr(biomass, "splu", recording_splu)
+    p = ModelParams(k1=k1)
+    g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
+    ws = make_biomass_workspace(g, p)
+    rng = np.random.default_rng(1)
+    u = ScalarField(g, rng.uniform(0.5, 0.9, g.cells))
+    w = ScalarField(g, rng.uniform(0.5, 1.0, g.cells))
+    _, rep = step_biomass(ws, u, w, VectorField.zeros(g), BiomassStepConfig(dt=dt))
+    assert rep.residual <= NEWTON_TOL
+    assert factored
+    dominant = dt * (k1 - p.b) < 1.0
+    diagonal_pivots = []
+    for jac, lu in factored:
+        diag = np.abs(np.diag(jac))
+        margin = (diag - (np.abs(jac).sum(axis=0) - diag)).min()
+        assert (margin > 0.0) == dominant
+        diagonal_pivots.append(np.array_equal(lu.perm_r, lu.perm_c))
+        rhs = rng.standard_normal(jac.shape[0])
+        ref = np.linalg.solve(jac, rhs)
+        assert np.abs(lu.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert all(diagonal_pivots) == dominant
 
 
 def test_newton_failure_raises_with_history(params):

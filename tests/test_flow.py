@@ -319,16 +319,28 @@ def test_project_K_with_loose_obstacle_is_leray(params):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_project_K_fails_fast_on_nonfinite_speeds(params):
-    # a finite predictor whose squared speeds overflow: no iteration can
-    # make the excess finite, so the projection stops at its first one
-    # rather than spending its whole iteration budget
+    # finite face speeds whose squares overflow: no iteration can make the
+    # excess finite, so the projection stops at its first one rather than
+    # spending its whole iteration budget
     ws, g = _workspace(params, cells=(8, 4), dt=0.04)
-    gforce = VectorField(g, (np.full(g.face_shape(0), 4.2), np.full(g.face_shape(1), 1e306)))
-    star, _, _ = predict_velocity(ws, VectorField.zeros(g), gforce)
-    assert all(np.isfinite(c).all() for c in star)
+    vy = np.full(g.face_shape(1), 4e304)
+    vy[:, [0, -1]] = 0.0  # the walls' own faces stay closed
+    star = VectorField(g, (np.zeros(g.face_shape(0)), vy))
+    assert all(np.isfinite(c).all() for c in star.comps)
     obs = workspace_obstacle(ws, ScalarField.zeros(g))
     with pytest.raises(StabilityError, match="non-finite"):
-        project_K(VectorField(g, tuple(star)), obs, ws.dt)
+        project_K(star, obs, ws.dt)
+
+
+@pytest.mark.filterwarnings("error")
+def test_predictor_rejects_nonfinite_viscous_form(params):
+    # v* stays finite (about 4e304), but (A v*, v*) overflows: the
+    # predictor raises before that value reaches the energy ledger, and
+    # without an overflow warning on the way
+    ws, g = _workspace(params, cells=(8, 4), dt=0.04)
+    gforce = VectorField(g, (np.full(g.face_shape(0), 4.2), np.full(g.face_shape(1), 1e306)))
+    with pytest.raises(StabilityError, match="non-finite"):
+        predict_velocity(ws, VectorField.zeros(g), gforce)
 
 
 def _check_against_dense_oracle(cells, first_seed):
