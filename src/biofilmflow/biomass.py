@@ -83,7 +83,7 @@ def make_biomass_workspace(grid, params):
         grid=grid,
         params=params,
         kernel_mu=build_kernel(params.mu, grid),
-        cutoff=build_cutoff(grid, params.mu).values,
+        cutoff=build_cutoff(grid, params.mu),
         stiffness=ops.scalar_laplacian_gamma0(grid),
     )
 

@@ -71,15 +71,41 @@ class InitialSpec:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    grid: object
-    params: ModelParams
-    t_end: float = 0.5
-    dt: float = 1e-3
+class CouplingConfig:
+    """Time step, horizon and the settling rule of the Picard sweep."""
+
+    dt: float
+    t_end: float
     picard_tol: float = 1e-9
     picard_abs_floor: float = 1e-13
     picard_max: int = 40
     picard_min_iters: int = 1
+
+    def __post_init__(self):
+        # nan and inf slip past plain sign checks and fail the run later
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not 0 < self.picard_tol < math.inf:
+            raise ConfigError(f"picard_tol must be positive and finite, got {self.picard_tol}")
+        if not 0 <= self.picard_abs_floor < math.inf:
+            raise ConfigError(
+                f"picard_abs_floor must be nonnegative and finite, got {self.picard_abs_floor}"
+            )
+        if self.picard_max < 1 or self.picard_min_iters < 1:
+            raise ConfigError("picard iteration counts must be >= 1")
+        if self.picard_min_iters > self.picard_max:
+            raise ConfigError("picard_min_iters exceeds picard_max")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(CouplingConfig):
+    """A whole run: the coupling settings, checked on construction, plus
+    the grid, the model, the output and the initial data."""
+
+    grid: object
+    params: ModelParams
     output: OutputSpec = OutputSpec()
     initial: InitialSpec = InitialSpec()
 
@@ -161,10 +187,6 @@ def parse_config(text):
     t_end = _get(sec, "t_end", float, 0.5, used)
     dt = _get(sec, "dt", float, 1e-3, used)
     check_leftovers("time", used)
-    if not 0 < dt < math.inf:
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
-    if not 0 <= t_end < math.inf:
-        raise ConfigError(f"t_end must be nonnegative and finite, got {t_end}")
 
     used = set()
     sec = section("coupling")
@@ -214,8 +236,12 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    return parse_config(text)
 
 
 def print_config(cfg):
@@ -276,19 +302,19 @@ def num_steps(cfg):
     return max(0, int(math.floor(cfg.t_end / cfg.dt + 1e-9)))
 
 
-def initial_state(cfg, seed=None):
+def initial_state(cfg):
     """Materialize and validate the starting fields.
 
     Returns a dict with u, w, v, P and the forcing g. The RNG consumed
-    by random presets is seeded from the config (or the override), so
-    identical configs produce identical fields.
+    by random presets is seeded from the config, so identical configs
+    produce identical fields.
     """
     import numpy as np
 
     from .coupling import check_initial_data
 
     grid = cfg.grid
-    rng = np.random.default_rng(cfg.initial.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.initial.seed)
     u0 = build_scalar(cfg.initial.u, grid, rng, 0.0, cfg.params.u_star, "biomass")
     w0 = build_scalar(cfg.initial.w, grid, rng, 0.0, 1.0, "nutrient")
     v0 = build_vector(cfg.initial.v, grid, rng, "velocity")

@@ -23,6 +23,7 @@ from .biomass import (
     make_biomass_workspace,
     step_biomass,
 )
+from .config import CouplingConfig
 from .constitutive import speed_limit, validate_params
 from .diagnostics import StepDiagnostics, invariant_report
 from .errors import ConfigError, InvariantError, NonConvergenceError
@@ -38,6 +39,9 @@ from .grid import ScalarField, VectorField
 from .mollify import build_cutoff, build_kernel, mollify_array
 from .nutrient import make_nutrient_workspace, step_nutrient
 
+# relative divergence above which the initial velocity is projected
+INITIAL_DIV_TOL = 1e-12
+
 
 @dataclass
 class SimState:
@@ -46,28 +50,6 @@ class SimState:
     w: ScalarField
     v: VectorField
     P: ScalarField
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    dt: float
-    t_end: float
-    picard_tol: float = 1e-9
-    picard_abs_floor: float = 1e-13
-    picard_max: int = 40
-    picard_min_iters: int = 1
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
-        if not self.picard_tol > 0:
-            raise ConfigError("picard_tol must be positive")
-        if self.picard_max < 1 or self.picard_min_iters < 1:
-            raise ConfigError("picard iteration counts must be >= 1")
-        if self.picard_min_iters > self.picard_max:
-            raise ConfigError("picard_min_iters exceeds picard_max")
 
 
 @dataclass
@@ -100,7 +82,7 @@ def make_stepper(grid, params, coupling, bio_cfg=None):
     )
 
 
-def check_initial_data(u0, w0, v0, params, div_tol=1e-12):
+def check_initial_data(u0, w0, v0, params):
     """Validate the starting fields; returns (u0, w0, v0) with v0
     divergence-projected when needed.
 
@@ -132,10 +114,10 @@ def check_initial_data(u0, w0, v0, params, div_tol=1e-12):
 
     dv = float(np.abs(ops.divergence(list(v0.comps), grid.h)).max())
     vmax = float(max(np.abs(c).max() for c in v0.comps))
-    if dv > div_tol * (vmax / min(grid.h) + 1.0):
+    if dv > INITIAL_DIV_TOL * (vmax / min(grid.h) + 1.0):
         v0, _, _ = pressure_project(v0, dt=1.0)
 
-    cutoff = build_cutoff(grid, params.mu).values
+    cutoff = build_cutoff(grid, params.mu)
     kernel = build_kernel(params.eps, grid)
     dens = np.clip(mollify_array(cutoff * uv, kernel), 0.0, params.u_star)
     m = ops.interp_centers(list(v0.comps))
@@ -250,30 +232,25 @@ def run(cfg, record_trajectory=False):
 
     grid = cfg.grid
     params = cfg.params
-    coupling = CouplingConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        picard_tol=cfg.picard_tol,
-        picard_abs_floor=cfg.picard_abs_floor,
-        picard_max=cfg.picard_max,
-        picard_min_iters=cfg.picard_min_iters,
-    )
-    stepper = make_stepper(grid, params, coupling)
+    stepper = make_stepper(grid, params, cfg)
     state = initial_state(cfg)
     g = state.pop("g")
     state = SimState(t=0.0, **state)
 
     record = None
     if record_trajectory:
-        record = FlowTrajectory(grid, coupling.dt, params.nu)
+        record = FlowTrajectory(grid, cfg.dt, params.nu)
         record.start(state.v)
 
     steps = num_steps(cfg)
     writer = None
     out_dir = cfg.output.out_dir
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        writer = SeriesWriter(os.path.join(out_dir, cfg.output.series_name))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            writer = SeriesWriter(os.path.join(out_dir, cfg.output.series_name))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output to out_dir {out_dir!r}: {exc}") from None
     diags = []
     try:
         for n in range(steps):

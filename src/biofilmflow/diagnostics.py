@@ -8,6 +8,9 @@ import numpy as np
 
 from . import operators as ops
 
+# slack allowed on the biomass and nutrient bounds
+BOUND_TOL = 1e-12
+
 
 @dataclass
 class InvariantCheck:
@@ -29,11 +32,11 @@ class InvariantReport:
         return [c for c in self.checks if not c.passed]
 
 
-def invariant_report(state, params, obstacle=None, bound_tol=1e-12, feas_tol=1e-8):
+def invariant_report(state, params, obstacle=None, feas_tol=1e-8):
     """Measure the pointwise invariants of a coupled state.
 
     Pure function of the inputs. margin > 0 means slack, margin < 0 a
-    violation; `passed` compares against the given tolerances. When an
+    violation; `passed` compares against BOUND_TOL and feas_tol. When an
     obstacle field is supplied the velocity feasibility and divergence
     checks are included (feasibility threshold feas_tol * max obstacle).
     """
@@ -47,10 +50,10 @@ def invariant_report(state, params, obstacle=None, bound_tol=1e-12, feas_tol=1e-
         hi_m = float(hi - vals.max())
         margin = min(lo_m, hi_m)
         loc = None
-        if margin < -bound_tol:
+        if margin < -BOUND_TOL:
             bad = np.argmin(np.minimum(vals - lo, hi - vals))
             loc = tuple(int(i) for i in np.unravel_index(bad, vals.shape))
-        checks.append(InvariantCheck(name, margin >= -bound_tol, margin, loc))
+        checks.append(InvariantCheck(name, margin >= -BOUND_TOL, margin, loc))
 
     bound_check("biomass_bounds", u, 0.0, params.u_star)
     bound_check("nutrient_bounds", w, 0.0, 1.0)

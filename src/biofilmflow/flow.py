@@ -83,7 +83,7 @@ def make_flow_workspace(grid, params, dt):
         params=params,
         dt=dt,
         kernel_eps=build_kernel(params.eps, grid),
-        cutoff=build_cutoff(grid, params.mu).values,
+        cutoff=build_cutoff(grid, params.mu),
         helmholtz_eig=tuple(
             1.0 + c * _sine_eigenvalues(grid, ax) for ax in range(grid.dim)
         ),
@@ -166,7 +166,7 @@ def vector_laplacian(grid, comps):
     ]
 
 
-def build_obstacle(u, params, kernel_eps, cutoff):
+def workspace_obstacle(ws, u):
     """Pointwise speed bound induced by a biomass field.
 
     The biomass is gated by the boundary-layer cutoff, smoothed with the
@@ -174,13 +174,9 @@ def build_obstacle(u, params, kernel_eps, cutoff):
     is an average of values in [0, u*], but rounding can poke out of the
     interval, hence the clip before the speed law.
     """
-    dens = mollify_array(cutoff * u.values, kernel_eps)
-    dens = np.clip(dens, 0.0, params.u_star)
-    return ObstacleField(u.grid, speed_limit_reg(dens, params))
-
-
-def workspace_obstacle(ws, u):
-    return build_obstacle(u, ws.params, ws.kernel_eps, ws.cutoff)
+    dens = mollify_array(ws.cutoff * u.values, ws.kernel_eps)
+    dens = np.clip(dens, 0.0, ws.params.u_star)
+    return ObstacleField(u.grid, speed_limit_reg(dens, ws.params))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +207,13 @@ def _project_affine(comps, h):
     return [c - g for c, g in zip(out, grad)], phi
 
 
+def _affine_residual(phi, comps, h):
+    """Largest Poisson residual of the potential phi that
+    ``_project_affine(comps, h)`` returned."""
+    res = ops.neumann_laplacian_apply(phi, h) - ops.divergence(_zero_normal_boundary(comps), h)
+    return float(np.abs(res).max())
+
+
 def constraint_excess(comps, obs):
     m = ops.interp_centers(comps)
     speed = np.sqrt(np.sum(m * m, axis=-1))
@@ -225,11 +228,8 @@ def pressure_project(v, dt):
     """
     grid = v.grid
     out, phi = _project_affine(list(v.comps), grid.h)
-    res = ops.neumann_laplacian_apply(phi, grid.h) - ops.divergence(
-        _zero_normal_boundary(list(v.comps)), grid.h
-    )
     scale = max(1.0, float(np.abs(phi).max()) / min(grid.h) ** 2)
-    residual = float(np.abs(res).max()) / scale
+    residual = _affine_residual(phi, list(v.comps), grid.h) / scale
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt), residual
 
 
@@ -296,14 +296,11 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL):
             )
         inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
         if excess <= feas_tol and dv <= feas_tol and inc <= step_tol:
-            res = ops.neumann_laplacian_apply(phi, h) - ops.divergence(
-                _zero_normal_boundary(y_in), h
-            )
             info = {
                 "sweeps": it + 1,
                 "max_excess": excess,
                 "max_div": dv,
-                "pressure_residual": float(np.abs(res).max()),
+                "pressure_residual": _affine_residual(phi, y_in, h),
             }
             return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
         if np.sum((y - lam_new) * (lam_new - lam)) > 0.0:
@@ -344,9 +341,7 @@ def predict_velocity(ws, v, g):
         ops.interior_faces(vc, ax) + dt * ops.interior_faces(gc, ax)
         for ax, (vc, gc) in enumerate(zip(v.comps, g.comps))
     ]
-    comps = [
-        ops.embed_interior(ops.interior_faces(vc, ax), grid, ax) for ax, vc in enumerate(v.comps)
-    ]
+    comps = _zero_normal_boundary(v.comps)
     iters = 0
     for it in range(PREDICT_MAX_ITERS):
         adv = ops.mac_advection(v.comps, comps, grid.h)

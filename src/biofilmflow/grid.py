@@ -103,16 +103,6 @@ class Grid:
         s[axis] += 1
         return tuple(s)
 
-    def edge_face_count(self, name):
-        ax, _ = edge_axis_side(name, self.dim)
-        return math.prod(self.cells) // self.cells[ax]
-
-    def boundary_face_count(self):
-        return sum(self.edge_face_count(n) for n in edge_names(self.dim))
-
-    def gamma0_face_count(self):
-        return sum(self.edge_face_count(n) for n in self.gamma0_edges)
-
     def gamma0_distance(self):
         """Per-cell distance to the gamma0 boundary set (inf if empty).
 
@@ -168,9 +158,6 @@ class ScalarField:
     def constant(cls, grid, c):
         return cls(grid, np.full(grid.cells, float(c)))
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -193,7 +180,4 @@ class VectorField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, tuple(np.zeros(grid.face_shape(ax)) for ax in range(grid.dim)))
-
-    def copy(self):
-        return VectorField(self.grid, tuple(c.copy() for c in self.comps))
 

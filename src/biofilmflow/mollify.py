@@ -1,53 +1,30 @@
 """Discrete mollifier, boundary cutoff, and zero-extended convolution.
 
-The kernel samples the scaled bump exp(-1/(1 - |x/r|^2)) at cell-offset
-positions and is renormalized so the *discrete* sum of weight times
-cell volume is exactly 1; the continuous normalizer would not give
-that, and constant preservation away from the boundary is the property
-everything else leans on. Fields are extended by zero outside the box before
-convolving, so cells near the boundary lose mass by design.
+The kernel is a plain stencil array: the scaled bump exp(-1/(1 - |x/r|^2))
+sampled at cell-offset positions, times the cell volume, renormalized so
+the *discrete* weights sum to exactly 1; the continuous normalizer would
+not give that, and constant preservation away from the boundary is the
+property everything else leans on. A single-entry stencil is the
+identity. Fields are extended by zero outside the box before convolving,
+so cells near the boundary lose mass by design. The boundary cutoff is a
+plain cell array too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
-from .grid import Grid, ScalarField
-
-
-@dataclass(frozen=True)
-class MollifierKernel:
-    """Sampled kernel on a cell-offset stencil.
-
-    weights holds density samples (per unit volume); normalization is
-    the raw discrete integral the samples were divided by; cell_volume
-    is the grid's h^n, kept so the kernel is self-contained.
-    """
-
-    radius: float
-    weights: np.ndarray
-    normalization: float
-    cell_volume: float
-
-    @property
-    def weights_hn(self):
-        """Dimensionless stencil weights; sums to exactly 1."""
-        return self.weights * self.cell_volume
-
-    def is_identity(self):
-        return self.weights.size == 1
 
 
 def build_kernel(radius, grid):
-    """Normalized mollifier kernel for the grid spacing.
+    """Dimensionless mollifier stencil for the grid spacing; sums to 1.
 
     A radius below the largest axis spacing cannot reach any neighbor,
-    so it degrades to the identity kernel (single cell, weight 1/h^n)
+    so it degrades to the identity stencil (single cell, weight 1)
     rather than erroring; refinement studies may sweep the radius
     across the grid scale.
     """
@@ -55,53 +32,35 @@ def build_kernel(radius, grid):
     if radius <= 0:
         raise ConfigError("mollifier radius must be positive")
     h = grid.h
-    vol = grid.cell_volume
     if radius < max(h):
-        w = np.full((1,) * grid.dim, 1.0 / vol)
-        return MollifierKernel(radius, w, 1.0, vol)
+        return np.ones((1,) * grid.dim)
 
     half = [int(math.floor(radius / h[ax])) for ax in range(grid.dim)]
     axes = [np.arange(-m, m + 1) * h[ax] for ax, m in enumerate(half)]
-    r2 = np.zeros([2 * m + 1 for m in half])
-    for ax, coord in enumerate(axes):
-        shape = [1] * grid.dim
-        shape[ax] = coord.size
-        r2 = r2 + coord.reshape(shape) ** 2
+    r2 = sum(coord**2 for coord in np.meshgrid(*axes, indexing="ij"))
     w = np.zeros_like(r2)
     inside = r2 < radius**2
     # scaled bump exp(-1/(1 - |x/radius|^2)): center weight e^-1 at every
     # radius, so the samples never underflow collectively
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside] / radius**2))
+    vol = grid.cell_volume
     raw_sum = float(w.sum() * vol)
     if not raw_sum > 0.0:
         raise ConfigError(
             f"mollifier kernel of radius {radius:g} collapsed to zero weights"
         )
-    w /= raw_sum
-    return MollifierKernel(radius, w, raw_sum, vol)
+    return w / raw_sum * vol
 
 
 def mollify_array(values, kernel):
-    """Zero-extended discrete convolution on a raw cell array."""
-    if kernel.is_identity():
+    """Zero-extended discrete convolution of a cell array with a stencil;
+    preserves the [min(0, min f), max f] range."""
+    if kernel.size == 1:
         return np.array(values, dtype=float, copy=True)
     # kernel is symmetric under offset negation, so correlate == convolve
     return ndimage.correlate(
-        np.asarray(values, dtype=float), kernel.weights_hn, mode="constant", cval=0.0
+        np.asarray(values, dtype=float), kernel, mode="constant", cval=0.0
     )
-
-
-def mollify(field, kernel):
-    """Mollified scalar field; preserves [min(0, min f), max f] range."""
-    return ScalarField(field.grid, mollify_array(field.values, kernel))
-
-
-@dataclass(frozen=True)
-class CutoffField:
-    """Per-cell boundary cutoff: 0 near gamma0, 1 away from it."""
-
-    grid: Grid
-    values: np.ndarray
 
 
 def smoothstep(t):
@@ -111,7 +70,7 @@ def smoothstep(t):
 
 
 def build_cutoff(grid, mu):
-    """Cutoff that vanishes within mu/2 of gamma0 and is 1 beyond mu.
+    """Per-cell cutoff array: 0 within mu/2 of gamma0, 1 beyond mu.
 
     Distance is measured from cell centers to the gamma0 face set; with
     an empty gamma0 the cutoff is identically 1.
@@ -125,4 +84,4 @@ def build_cutoff(grid, mu):
     if np.any(finite):
         t = (dist - 0.5 * mu) / (0.5 * mu)
         vals = np.where(finite, smoothstep(t), 1.0)
-    return CutoffField(grid, vals)
+    return vals

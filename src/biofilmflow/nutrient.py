@@ -4,14 +4,17 @@ Splitting per step: explicit conservative upwinding for the transport
 term, implicit diffusion with the biomass-dependent diffusivity (harmonic
 face averages), and a semi-implicit consumption term
 
-    k1 (rho_mu * u) / (k2 + w_old) * w_new
+    k1 u~ / (k2 + max(w_old, 0)) * w_new,    u~ = clip(rho_mu * u, 0, u*)
 
 whose coefficient is nonnegative, so the system matrix
 
     I + dt A_d + dt diag(c)
 
-is an M-matrix and the step inherits a discrete maximum principle up to
-the explicit convection CFL margin. No-flux boundaries all around.
+is a symmetric M-matrix and the step inherits a discrete maximum
+principle up to the explicit convection CFL margin; a step with
+dt max|v|/h > 1 raises StabilityError instead. The system is solved
+matrix-free by conjugate gradients, and the solution is clamped to
+[0, 1] with the clamped mass reported. No-flux boundaries all around.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .constitutive import consumption_rate, nutrient_diffusivity
+from .constitutive import nutrient_diffusivity
 from .errors import ConfigError, NonConvergenceError, StabilityError
 from .grid import ScalarField
 from .mollify import build_kernel, mollify_array
+
+# conjugate gradients: relative residual bound, iteration cap
+CG_RTOL = 1e-13
+CG_MAX_ITERS = 500
 
 
 @dataclass
@@ -32,7 +39,6 @@ class NutrientStepReport:
     pre_clamp_min: float
     pre_clamp_max: float
     clamp_mass: float
-    cfl: float
 
 
 @dataclass
@@ -69,16 +75,12 @@ def _apply_diffusion(x, face_diff, h):
     Each interior face exchanges the flux d (x_hi - x_lo) / h^2 between
     its two cells; boundary faces carry none.
     """
-    dim = x.ndim
-    out = np.zeros_like(x)
-    for ax in range(dim):
-        flux = face_diff[ax] * np.diff(x, axis=ax) / h[ax] ** 2
-        out[ops.axslice(dim, ax, slice(None, -1))] -= flux
-        out[ops.axslice(dim, ax, slice(1, None))] += flux
-    return out
+    return ops.scatter_faces(
+        [-(face_diff[ax] * np.diff(x, axis=ax) / h[ax] ** 2) for ax in range(x.ndim)]
+    )
 
 
-def _solve_spd(apply_op, rhs, x0, rtol=1e-13, maxiter=500):
+def _solve_spd(apply_op, rhs, x0):
     """Plain conjugate gradients; the nutrient system I + dt A_d + dt diag(c)
     is symmetric positive definite with condition numbers near 1 at the
     stable time steps, so a handful of matrix-free sweeps beats refactoring.
@@ -87,8 +89,8 @@ def _solve_spd(apply_op, rhs, x0, rtol=1e-13, maxiter=500):
     r = rhs - apply_op(x)
     p = r.copy()
     rs = float((r * r).sum())
-    target = rtol * float(np.sqrt((rhs * rhs).sum()))
-    for it in range(maxiter):
+    target = CG_RTOL * float(np.sqrt((rhs * rhs).sum()))
+    for it in range(CG_MAX_ITERS):
         if np.sqrt(rs) <= target:
             return x, it
         ap = apply_op(p)
@@ -99,19 +101,13 @@ def _solve_spd(apply_op, rhs, x0, rtol=1e-13, maxiter=500):
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise NonConvergenceError(
-        f"nutrient linear solve stalled after {maxiter} iterations",
+        f"nutrient linear solve stalled after {CG_MAX_ITERS} iterations",
         residual=float(np.sqrt(rs)),
     )
 
 
-def step_nutrient(ws, w, u, v, dt, explicit_reaction_from=None):
-    """One nutrient step; returns (ScalarField, NutrientStepReport).
-
-    explicit_reaction_from: optional cell array w_bar; when given, the
-    consumption term is evaluated explicitly as f(rho_mu*u; w_bar) w_bar
-    and moved entirely to the right-hand side. This is the linearization
-    used by the coupling contraction diagnostics, not the production path.
-    """
+def step_nutrient(ws, w, u, v, dt):
+    """One nutrient step; returns (ScalarField, NutrientStepReport)."""
     if not dt > 0:
         raise ConfigError("nutrient step requires dt > 0")
     grid = ws.grid
@@ -128,11 +124,7 @@ def step_nutrient(ws, w, u, v, dt, explicit_reaction_from=None):
     face_diff = _face_diffusivity(nutrient_diffusivity(u_tilde, p), grid)
 
     rhs = w.values - dt * ops.upwind_flux_divergence(w.values, v.comps, grid.h)
-    if explicit_reaction_from is None:
-        coeff = dt * p.k1 * u_tilde / (p.k2 + np.maximum(w.values, 0.0))
-    else:
-        coeff = 0.0
-        rhs = rhs - dt * consumption_rate(np.asarray(explicit_reaction_from), p) * u_tilde
+    coeff = dt * p.k1 * u_tilde / (p.k2 + np.maximum(w.values, 0.0))
 
     def system(x):
         return x + dt * _apply_diffusion(x, face_diff, grid.h) + coeff * x
@@ -147,7 +139,6 @@ def step_nutrient(ws, w, u, v, dt, explicit_reaction_from=None):
         pre_clamp_min=pre_min,
         pre_clamp_max=pre_max,
         clamp_mass=clamp_mass,
-        cfl=cfl,
     )
     return ScalarField(grid, clamped), report
 

@@ -53,6 +53,19 @@ def gradient_faces(phi, h):
     return out
 
 
+def scatter_faces(faces):
+    """Cell sums of interior-face values: faces[ax] (the cell shape less
+    one along ax) is added to each face's low cell, subtracted from its high."""
+    nd = len(faces)
+    shape = list(faces[0].shape)
+    shape[0] += 1
+    out = np.zeros(shape)
+    for ax, f in enumerate(faces):
+        out[axslice(nd, ax, slice(None, -1))] += f
+        out[axslice(nd, ax, slice(1, None))] -= f
+    return out
+
+
 def interp_centers(comps):
     """Face-to-center average; shape (*cells, nd)."""
     nd = len(comps)
@@ -118,13 +131,7 @@ def poisson_neumann(rhs, h):
 
 def neumann_laplacian_apply(phi, h):
     """Matching 5/7-point no-flux Laplacian, for residual checks."""
-    out = np.zeros_like(phi)
-    nd = phi.ndim
-    for ax in range(nd):
-        flux = np.diff(phi, axis=ax) / h[ax]
-        out[axslice(nd, ax, slice(None, -1))] += flux / h[ax]
-        out[axslice(nd, ax, slice(1, None))] -= flux / h[ax]
-    return out
+    return scatter_faces([np.diff(phi, axis=ax) / h[ax] / h[ax] for ax in range(phi.ndim)])
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +187,13 @@ def upwind_flux_divergence(c, v, h):
     boundary flux is added: the form is exactly conservative.
     """
     nd = c.ndim
-    out = np.zeros_like(c)
+    faces = []
     for ax in range(nd):
         vf = v[ax][axslice(nd, ax, slice(1, -1))]
         lo = c[axslice(nd, ax, slice(None, -1))]
         hi = c[axslice(nd, ax, slice(1, None))]
-        flux = vf * np.where(vf >= 0.0, lo, hi)
-        out[axslice(nd, ax, slice(None, -1))] += flux / h[ax]
-        out[axslice(nd, ax, slice(1, None))] -= flux / h[ax]
-    return out
+        faces.append(vf * np.where(vf >= 0.0, lo, hi) / h[ax])
+    return scatter_faces(faces)
 
 
 def centered_flux_divergence(c, v, h):
@@ -198,14 +203,12 @@ def centered_flux_divergence(c, v, h):
     v with zero boundary faces.
     """
     nd = c.ndim
-    out = np.zeros_like(c)
+    faces = []
     for ax in range(nd):
         vf = v[ax][axslice(nd, ax, slice(1, -1))]
         avg = 0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
-        flux = vf * avg
-        out[axslice(nd, ax, slice(None, -1))] += flux / h[ax]
-        out[axslice(nd, ax, slice(1, None))] -= flux / h[ax]
-    return out
+        faces.append(vf * avg / h[ax])
+    return scatter_faces(faces)
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,6 @@ class SeriesWriter:
         self.close()
 
 
-def write_series(entries, path):
-    with SeriesWriter(path) as writer:
-        for entry in entries:
-            writer.write_row(entry)
-    return path
-
-
 def _vtk_header(fh, title, grid):
     nd = grid.dim
     dims = [n + 1 for n in grid.cells] + [1] * (3 - nd)
@@ -98,12 +91,8 @@ def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):
     paths = []
     for field in fields:
         path = os.path.join(out_dir, f"{field}_{step:06d}.vtk")
-        if field == "u":
-            _write_cell_scalars(path, "u", grid, state.u.values, step)
-        elif field == "w":
-            _write_cell_scalars(path, "w", grid, state.w.values, step)
-        elif field == "P":
-            _write_cell_scalars(path, "P", grid, state.P.values, step)
+        if field in ("u", "w", "P"):
+            _write_cell_scalars(path, field, grid, getattr(state, field).values, step)
         elif field == "obstacle":
             if obstacle is None:
                 raise ValueError("snapshot of the obstacle requested but none supplied")

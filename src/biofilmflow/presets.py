@@ -59,6 +59,19 @@ def _reject_leftovers(kv, name, what):
         )
 
 
+def _load_file(path, what):
+    """np.load a preset file, an .npz archive as a dict of its arrays; a
+    file it cannot read is a ConfigError."""
+    try:
+        data = np.load(path)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                return dict(data)
+        return data
+    except (OSError, EOFError, ValueError) as exc:
+        raise ConfigError(f"cannot load {what} file {path!r}: {exc}") from None
+
+
 def _centers(grid, kv, prefix="c"):
     names = ("x", "y", "z")[: grid.dim]
     return [
@@ -112,7 +125,9 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
     elif name == "file":
         path = _take(kv, "path", None, conv=str)
         _reject_leftovers(kv, name, what)
-        vals = np.load(path)
+        vals = _load_file(path, what)
+        if not isinstance(vals, np.ndarray):
+            raise ConfigError(f"field file {path!r} is not a single .npy array")
         if vals.shape != grid.cells:
             raise ConfigError(
                 f"field file {path!r} has shape {vals.shape}, grid wants {grid.cells}"
@@ -178,7 +193,7 @@ def _vector_preset(spec, grid, what):
     if name == "file":
         path = _take(kv, "path", None, conv=str)
         _reject_leftovers(kv, name, what)
-        data = np.load(path)
+        data = _load_file(path, what)
         keys = [f"v{ax}" for ax in range(grid.dim)]
         missing = [k for k in keys if k not in data]
         if missing:

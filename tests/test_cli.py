@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,74 @@ def test_bad_config_exits_two(tmp_path):
     res = _cli("--config", str(path), "--validate-only")
     assert res.returncode == 2
     assert "mu" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "picard_max = 0",
+        "picard_min_iters = 5\npicard_max = 3",
+        "picard_abs_floor = nan",
+        "picard_abs_floor = -1",
+    ],
+)
+def test_validate_only_checks_coupling_settings(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[grid]\ncells = 8 8\n\n[coupling]\n{text}\n")
+    assert main(["--config", str(path), "--validate-only"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _unreadable_input(tmp_path, case):
+    """Set up one case of outside input that cannot be read; returns the
+    CLI arguments that meet it and the path the error must name."""
+    ini = tmp_path / "run.ini"
+    field = tmp_path / "u.npy"
+    grid = "[grid]\ncells = 8 8\n\n"
+    if case == "config missing":
+        ini = tmp_path / "missing.ini"
+    elif case == "config is a directory":
+        ini = tmp_path
+    elif case == "config not utf-8":
+        ini.write_bytes(b"[grid]\ncells = 8 8 \xff\n")
+    elif case == "out_dir under a file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        ini.write_text(grid + f"[output]\nout_dir = {out}\n")
+        return ["--config", str(ini), "--steps", "1"], out
+    else:
+        if case == "preset empty":
+            field.write_bytes(b"")
+        elif case == "preset pickled":
+            np.save(field, np.array([{}], dtype=object), allow_pickle=True)
+        elif case == "preset is an npz":
+            field = tmp_path / "u.npz"
+            np.savez(field, u=np.zeros((8, 8)))
+        ini.write_text(grid + f"[initial]\nu = file path={field}\n")
+        return ["--config", str(ini), "--validate-only"], field
+    return ["--config", str(ini), "--validate-only"], ini
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config missing",
+        "config is a directory",
+        "config not utf-8",
+        "preset missing",
+        "preset empty",
+        "preset pickled",
+        "preset is an npz",
+        "out_dir under a file",
+    ],
+)
+def test_unreadable_input_exits_two_without_traceback(tmp_path, case):
+    args, named = _unreadable_input(tmp_path, case)
+    res = _cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:")
+    assert str(named) in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,5 +1,7 @@
 """Config parsing, canonical printing, and initial-field presets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,23 @@ def test_nonfinite_time_and_negative_seed_rejected():
         parse_config("[initial]\nseed = -1\n")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("picard_max = 0", "iteration counts"),
+        ("picard_min_iters = 5\npicard_max = 3", "picard_min_iters exceeds"),
+        ("picard_abs_floor = nan", "picard_abs_floor"),
+        ("picard_abs_floor = -1", "picard_abs_floor"),
+        ("picard_tol = inf", "picard_tol"),
+        ("picard_tol = nan", "picard_tol"),
+    ],
+)
+def test_coupling_section_checked_at_parse(text, match):
+    # the run used to be the first to check these: after "config ok"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"[coupling]\n{text}\n")
+
+
 def test_gamma0_must_be_proper_subset():
     with pytest.raises(ConfigError):
         parse_config("[grid]\ngamma0 = left right bottom top\n")
@@ -181,7 +200,8 @@ def test_initial_state_is_seed_deterministic():
     s2 = initial_state(parse_config(text))
     assert np.array_equal(s1["u"].values, s2["u"].values)
     assert np.ptp(s1["u"].values) > 0.1
-    s3 = initial_state(parse_config(text), seed=4)
+    cfg = parse_config(text)
+    s3 = initial_state(replace(cfg, initial=replace(cfg.initial, seed=4)))
     assert not np.array_equal(s1["u"].values, s3["u"].values)
     assert np.all(s1["P"].values == 0.0)
     assert all(np.all(c == 0.0) for c in s1["v"].comps)

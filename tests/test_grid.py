@@ -14,12 +14,6 @@ from biofilmflow.grid import (
 )
 
 
-def test_counts_2d_left_gamma0():
-    g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
-    assert g.gamma0_face_count() == 64
-    assert g.boundary_face_count() - g.gamma0_face_count() == 192
-
-
 def test_spacing():
     g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
     assert g.h == (1.0 / 64, 1.0 / 64)
@@ -38,7 +32,6 @@ def test_gamma0_empty_rejected():
 
 def test_bare_grid_allows_all_walls():
     g = Grid((1.0, 1.0), (8, 8))
-    assert g.gamma0_face_count() == 0
     assert np.isinf(g.gamma0_distance()).all()
 
 
@@ -51,8 +44,7 @@ def test_unknown_edge_rejected():
 
 def test_3d_counts():
     g = build_grid(3, (1.0, 1.0, 1.0), (4, 5, 6), ("left", "top"))
-    assert g.gamma0_face_count() == 5 * 6 + 4 * 6
-    assert g.boundary_face_count() == 2 * (5 * 6 + 4 * 6 + 4 * 5)
+    assert g.gamma0_edges == {"left", "top"}
     assert edge_names(3) == ("left", "right", "bottom", "top", "back", "front")
 
 
@@ -116,10 +108,3 @@ def test_scalar_field_shape_guard():
         ScalarField(g, np.zeros((8, 7)))
     with pytest.raises(ValueError):
         VectorField(g, (np.zeros((9, 8)), np.zeros((9, 8))))
-
-
-def test_tag_partition():
-    g = build_grid(2, (1.0, 1.0), (12, 7), ("left", "top"))
-    total = g.boundary_face_count()
-    assert g.gamma0_face_count() + (total - g.gamma0_face_count()) == total
-    assert total == 2 * (12 + 7)

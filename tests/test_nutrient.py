@@ -212,28 +212,6 @@ def test_skew_pairing_vanishes_for_solenoidal_fields(params):
     assert hits >= 4
 
 
-def test_explicit_reaction_is_contractive(params):
-    # with the consumption evaluated explicitly from a supplied field, the
-    # step is Lipschitz in that field with constant dt * u_star * k1/k2
-    g = Grid((1.0, 1.0), (16, 16))
-    ws = make_nutrient_workspace(g, params)
-    rng = np.random.default_rng(12)
-    w = ScalarField(g, rng.uniform(0.2, 0.8, g.cells))
-    u = ScalarField(g, rng.uniform(0.0, params.u_star, g.cells))
-    dt = 1e-3
-    lip = dt * params.u_star * params.k1 / params.k2
-    vol = g.cell_volume
-    for seed in range(5):
-        r2 = np.random.default_rng(200 + seed)
-        wb1 = r2.uniform(0.0, 1.0, g.cells)
-        wb2 = r2.uniform(0.0, 1.0, g.cells)
-        a, _ = step_nutrient(ws, w, u, VectorField.zeros(g), dt, explicit_reaction_from=wb1)
-        b, _ = step_nutrient(ws, w, u, VectorField.zeros(g), dt, explicit_reaction_from=wb2)
-        diff = np.sqrt(ops.scalar_l2_sq(a.values - b.values, vol))
-        gap = np.sqrt(ops.scalar_l2_sq(wb1 - wb2, vol))
-        assert diff <= lip * gap * (1.0 + 1e-6) + 1e-12
-
-
 def test_cfl_violation_raises(params):
     g = Grid((1.0, 1.0), (16, 16))
     ws = make_nutrient_workspace(g, params)

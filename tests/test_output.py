@@ -13,7 +13,7 @@ import pytest
 
 from biofilmflow.diagnostics import CSV_COLUMNS, StepDiagnostics
 from biofilmflow.grid import ScalarField, VectorField, build_grid
-from biofilmflow.output import SeriesWriter, write_series, write_snapshot
+from biofilmflow.output import SeriesWriter, write_snapshot
 
 
 def _fake_diag(step=3, **overrides):
@@ -52,7 +52,8 @@ def test_series_header_matches_schema(tmp_path):
 def test_series_floats_round_trip_exactly(tmp_path):
     diag = _fake_diag()
     path = tmp_path / "series.csv"
-    write_series([diag], path)
+    with SeriesWriter(path) as w:
+        w.write_row(diag)
     row = path.read_text().splitlines()[1].split(",")
     for col, text in zip(CSV_COLUMNS, row):
         ref = getattr(diag, col)
@@ -67,8 +68,10 @@ def test_series_rerun_is_byte_identical(tmp_path):
     entries = [_fake_diag(step=k, t=k * 1e-3) for k in range(5)]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_series(entries, p1)
-    write_series(entries, p2)
+    for path in (p1, p2):
+        with SeriesWriter(path) as w:
+            for entry in entries:
+                w.write_row(entry)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().splitlines()) == 6
 
