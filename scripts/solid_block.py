@@ -13,8 +13,6 @@ import argparse
 import os
 from dataclasses import replace
 
-import numpy as np
-
 from biofilmflow import operators as ops
 from biofilmflow.biomass import BiomassStepConfig
 from biofilmflow.constitutive import ModelParams
@@ -65,8 +63,7 @@ def main():
     for k in range(args.steps):
         state, diag = picard_step(stepper, state, force)
         writer.write_row(replace(diag, step=k + 1))
-        vc = ops.interp_centers(list(state.v.comps))
-        speed = np.sqrt((vc * vc).sum(axis=-1))
+        speed = ops.cell_norm(ops.center_average(state.v.comps))
         print(
             f"step {k + 1:3d}: core speed {speed[core].max():.4e}"
             f"  fluid max {speed.max():.4f}"

@@ -7,6 +7,7 @@ non-convergence (including CFL aborts), 4 runtime invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -93,7 +94,16 @@ def main(argv=None):
         if args.steps is not None:
             if args.steps < 0:
                 raise ConfigError("--steps must be nonnegative")
-            cfg = replace(cfg, t_end=args.steps * cfg.dt)
+            try:
+                t_end = args.steps * cfg.dt
+            except OverflowError:
+                t_end = math.inf
+            if not t_end < math.inf:
+                raise ConfigError(
+                    f"--steps is too large: a {len(str(args.steps))}-digit step count "
+                    f"times dt={cfg.dt:g} overflows the end time"
+                )
+            cfg = replace(cfg, t_end=t_end)
 
         if args.print_config:
             sys.stdout.write(print_config(cfg))

@@ -30,13 +30,14 @@ from .errors import ConfigError, InvariantError, NonConvergenceError
 from .flow import (
     FlowTrajectory,
     make_flow_workspace,
+    obstacle_density,
     predict_velocity,
     pressure_project,
     step_flow,
     workspace_obstacle,
 )
 from .grid import ScalarField, VectorField
-from .mollify import build_cutoff, build_kernel, mollify_array
+from .mollify import build_cutoff, build_kernel
 from .nutrient import make_nutrient_workspace, step_nutrient
 
 # relative divergence above which the initial velocity is projected
@@ -117,11 +118,10 @@ def check_initial_data(u0, w0, v0, params):
     if dv > INITIAL_DIV_TOL * (vmax / min(grid.h) + 1.0):
         v0, _, _ = pressure_project(v0, dt=1.0)
 
-    cutoff = build_cutoff(grid, params.mu)
-    kernel = build_kernel(params.eps, grid)
-    dens = np.clip(mollify_array(cutoff * uv, kernel), 0.0, params.u_star)
-    m = ops.interp_centers(list(v0.comps))
-    speed = np.sqrt(np.sum(m * m, axis=-1))
+    dens = obstacle_density(
+        uv, build_cutoff(grid, params.mu), build_kernel(params.eps, grid), params.u_star
+    )
+    speed = ops.cell_norm(ops.center_average(v0.comps))
     ceiling = np.full(grid.cells, np.inf)
     porous = (dens > 0.0) & (dens < params.delta0)
     ceiling[porous] = speed_limit(dens[porous], params)
@@ -154,10 +154,15 @@ def picard_step(stepper, state, g, record=None):
     # biomass iterate, so every coupling round projects the same v*
     v_star, predict_iters, viscous = predict_velocity(stepper.flow_ws, state.v, g)
     uk = state.u
+    # each round's projection starts from the previous round's
+    # multipliers; the first starts from zero, so the step depends on
+    # its start state only
+    lam = None
     residuals = []
     accepted = None
     for k in range(cc.picard_max):
-        v_new, pressure, flow_rep, obs = step_flow(stepper.flow_ws, v_star, uk)
+        v_new, pressure, flow_rep, obs = step_flow(stepper.flow_ws, v_star, uk, lam=lam)
+        lam = flow_rep.lam
         w_new, nut_rep = step_nutrient(stepper.nut_ws, state.w, uk, v_new, cc.dt)
         u_new, bio_rep = step_biomass(
             stepper.bio_ws,

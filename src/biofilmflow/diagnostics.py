@@ -65,8 +65,7 @@ def invariant_report(state, params, obstacle=None, feas_tol=1e-8):
     checks.append(InvariantCheck("finite", finite, 0.0 if finite else -np.inf))
 
     if obstacle is not None:
-        m = ops.interp_centers(list(state.v.comps))
-        speed = np.sqrt(np.sum(m * m, axis=-1))
+        speed = ops.cell_norm(ops.center_average(state.v.comps))
         excess = float(np.max(speed - obstacle.values))
         tol = feas_tol * float(obstacle.values.max())
         loc = None
@@ -110,7 +109,9 @@ class StepDiagnostics:
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
     newton_iters: int = 0
-    dykstra_sweeps: int = 0  # iterations of the accepted round's projection
+    # iterations of the accepted round's projection, counted from the
+    # previous round's multipliers when the step took more than one round
+    dykstra_sweeps: int = 0
     predict_iters: int = 0
     pressure_residual: float = 0.0
 

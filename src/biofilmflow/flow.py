@@ -18,8 +18,13 @@ onto K(r) is solved in its dual, one multiplier per cell for the speed
 ball, by an accelerated proximal gradient (FISTA) with adaptive
 restart: each iteration is one exact affine projection (a cosine
 transform Poisson solve) and one cellwise soft-threshold, so it
-converges to the true metric projection. The potential of the final
-affine projection, divided by dt, serves as the pressure.
+converges to the true metric projection. The multipliers are kept as
+one cell array per velocity component. A projection may start from
+given multipliers and returns its final ones; the coupling loop hands
+each round's multipliers to the next round of the same step and starts
+every step from zero, so a step depends on its start state only. The
+potential of the final affine projection, divided by dt, serves as the
+pressure.
 """
 
 from __future__ import annotations
@@ -49,12 +54,16 @@ PREDICT_MAX_ITERS = 60
 @dataclass
 class FlowStepReport:
     """dykstra_sweeps counts the iterations of the projection onto K;
-    the name is older than the dual method."""
+    the name is older than the dual method. A projection started from
+    the previous coupling round's multipliers counts only the iterations
+    it needed from there, often one or a few. lam holds the final
+    multipliers, one cell array per component."""
 
     dykstra_sweeps: int
     max_excess: float
     max_div: float
     pressure_residual: float
+    lam: list
 
 
 @dataclass(frozen=True)
@@ -166,16 +175,20 @@ def vector_laplacian(grid, comps):
     ]
 
 
-def workspace_obstacle(ws, u):
-    """Pointwise speed bound induced by a biomass field.
+def obstacle_density(u_values, cutoff, kernel, u_star):
+    """Biomass density the speed obstacle sees.
 
-    The biomass is gated by the boundary-layer cutoff, smoothed with the
-    wide kernel, and pushed through the regularized speed law. Smoothing
-    is an average of values in [0, u*], but rounding can poke out of the
-    interval, hence the clip before the speed law.
+    The biomass is gated by the boundary-layer cutoff and smoothed with
+    the wide kernel. Smoothing is an average of values in [0, u*], but
+    rounding can poke out of the interval, hence the clip.
     """
-    dens = mollify_array(ws.cutoff * u.values, ws.kernel_eps)
-    dens = np.clip(dens, 0.0, ws.params.u_star)
+    return np.clip(mollify_array(cutoff * u_values, kernel), 0.0, u_star)
+
+
+def workspace_obstacle(ws, u):
+    """Pointwise speed bound induced by a biomass field: its
+    ``obstacle_density`` pushed through the regularized speed law."""
+    dens = obstacle_density(u.values, ws.cutoff, ws.kernel_eps, ws.params.u_star)
     return ObstacleField(u.grid, speed_limit_reg(dens, ws.params))
 
 
@@ -215,9 +228,7 @@ def _affine_residual(phi, comps, h):
 
 
 def constraint_excess(comps, obs):
-    m = ops.interp_centers(comps)
-    speed = np.sqrt(np.sum(m * m, axis=-1))
-    return float(np.max(speed - obs))
+    return float(np.max(ops.cell_norm(ops.center_average(comps)) - obs))
 
 
 def pressure_project(v, dt):
@@ -237,16 +248,18 @@ def _shrink_cells(z, obs):
     """Group soft-threshold z_c max(0, 1 - r_c/|z_c|) per cell.
 
     The proximal map of the support function of the speed balls, i.e.
-    z minus its projection onto the balls.
+    z minus its projection onto the balls. z is one cell array per
+    component, and so is the result. Inside a ball 1 - r_c/|z_c| <= 0,
+    or -inf at z_c = 0, or NaN at z_c = 0 = r_c; fmax turns all three
+    into 0.
     """
-    norm = np.sqrt(np.sum(z * z, axis=-1))
-    keep = np.zeros_like(norm)
-    np.divide(obs, norm, out=keep, where=norm > obs)
-    np.subtract(1.0, keep, out=keep, where=norm > obs)
-    return z * keep[..., None]
+    norm = ops.cell_norm(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = np.fmax(1.0 - obs / norm, 0.0)
+    return [c * keep for c in z]
 
 
-def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL):
+def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     """Metric projection onto K(obs) by an accelerated dual gradient.
 
     With M the face-to-center average and lam the per-cell multipliers
@@ -259,59 +272,72 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL):
     affine, so M x(y) at the extrapolated dual point y is extrapolated
     from the last two iterates and each iteration costs one solve.
 
-    Starts from lam = 0 on every call. Returns (VectorField, pressure
-    ScalarField, info dict); info["sweeps"] counts the iterations.
-    Termination requires the speed excess and the divergence to sit
-    under feas_tol *and* the last primal increment to be below
-    step_tol; plain feasibility is reached early by iterates that are
-    still far from the projection, so it alone is not a safe stop. The
-    pressure is the potential of the final affine projection over dt.
-    A non-finite excess or divergence (speeds whose squares overflow)
-    raises StabilityError at once; no iteration can recover from it.
+    lam, one cell array per component, is the starting dual point; with
+    None it is zero and the first affine projection is of v itself.
+    Multipliers returned by a projection of the same v onto a nearby
+    obstacle are a good start. Returns (VectorField, pressure
+    ScalarField, info dict); info["sweeps"] counts the iterations and
+    info["lam"] holds the final multipliers. Termination requires the
+    speed excess and the divergence to sit under feas_tol *and* the last
+    primal increment to be below step_tol; plain feasibility is reached
+    early by iterates that are still far from the projection, so it
+    alone is not a safe stop. The divergence and the increment are
+    measured only once the excess is under feas_tol. The pressure is the
+    potential of the final affine projection over dt. A non-finite
+    excess or divergence (speeds whose squares overflow) raises
+    StabilityError at once; no iteration can recover from it.
     """
     grid = v.grid
     h = grid.h
     r = obs.values
-    lam = np.zeros(r.shape + (grid.dim,))
-    y_in = list(v.comps)
+    if lam is None:
+        lam = [np.zeros(r.shape) for _ in range(grid.dim)]
+        y_in = list(v.comps)
+    else:
+        y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam))]
     x, phi = _project_affine(y_in, h)
-    m = ops.interp_centers(x)
+    m = ops.center_average(x)
     y, m_y, t = lam, m, 1.0
     for it in range(PROJECT_MAX_ITERS):
-        lam_new = _shrink_cells(y + m_y, r)
-        if not np.array_equal(lam_new, lam):
+        lam_new = _shrink_cells([a + b for a, b in zip(y, m_y)], r)
+        if not all(np.array_equal(a, b) for a, b in zip(lam_new, lam)):
             # x(lam) moves only with lam; an unmoved dual keeps x and phi
             y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam_new))]
             x_new, phi = _project_affine(y_in, h)
-            m_new = ops.interp_centers(x_new)
+            m_new = ops.center_average(x_new)
         else:
             x_new, m_new = x, m
-        excess = float(np.max(np.sqrt(np.sum(m_new * m_new, axis=-1)) - r))
-        dv = float(np.abs(ops.divergence(x_new, h)).max())
-        if not (np.isfinite(excess) and np.isfinite(dv)):
-            raise StabilityError(
-                f"constraint projection met non-finite speeds (excess {excess:.3e}, "
-                f"div {dv:.3e}); reduce dt or the forcing",
-                residual=max(excess, dv),
-            )
-        inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
-        if excess <= feas_tol and dv <= feas_tol and inc <= step_tol:
-            info = {
-                "sweeps": it + 1,
-                "max_excess": excess,
-                "max_div": dv,
-                "pressure_residual": _affine_residual(phi, y_in, h),
-            }
-            return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
-        if np.sum((y - lam_new) * (lam_new - lam)) > 0.0:
+        excess = float(np.max(ops.cell_norm(m_new) - r))
+        if excess <= feas_tol or not np.isfinite(excess):
+            dv = float(np.abs(ops.divergence(x_new, h)).max())
+            if not (np.isfinite(excess) and np.isfinite(dv)):
+                raise StabilityError(
+                    f"constraint projection met non-finite speeds (excess {excess:.3e}, "
+                    f"div {dv:.3e}); reduce dt or the forcing",
+                    residual=max(excess, dv),
+                )
+            inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
+            if dv <= feas_tol and inc <= step_tol:
+                info = {
+                    "sweeps": it + 1,
+                    "max_excess": excess,
+                    "max_div": dv,
+                    "pressure_residual": _affine_residual(phi, y_in, h),
+                    "lam": lam_new,
+                }
+                return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
+        dlam = [a - b for a, b in zip(lam_new, lam)]
+        if sum(float(np.vdot(a - b, d)) for a, b, d in zip(y, lam_new, dlam)) > 0.0:
             y, m_y, t = lam_new, m_new, 1.0
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            y = lam_new + beta * (lam_new - lam)
-            m_y = m_new + beta * (m_new - m)
+            y = [a + beta * d for a, d in zip(lam_new, dlam)]
+            m_y = [a + beta * (a - b) for a, b in zip(m_new, m)]
             t = t_new
-        lam, x, m = lam_new, x_new, m_new
+        lam, x_prev, x, m = lam_new, x, x_new, m_new
+    dv = float(np.abs(ops.divergence(x, h)).max())
+    inc = max(float(np.abs(a - b).max()) for a, b in zip(x, x_prev))
     raise NonConvergenceError(
         f"constraint projection did not settle in {PROJECT_MAX_ITERS} iterations "
         f"(excess {excess:.3e}, div {dv:.3e}, step {inc:.3e})",
@@ -391,21 +417,26 @@ def _interior_shape(grid, axis):
     return tuple(shape)
 
 
-def step_flow(ws, v_star, u):
+def step_flow(ws, v_star, u, lam=None):
     """Project the predictor v_star onto K(r(u)), the biomass iterate's
-    speed obstacle.
+    speed obstacle, starting the dual iteration from lam (None: zero).
 
     Returns (VectorField, pressure ScalarField, FlowStepReport,
-    ObstacleField). The pressure collects the affine multipliers of the
-    projection scaled by 1/dt, mean-zero by construction.
+    ObstacleField); the report's lam are the final multipliers, to start
+    the next coupling round of the same step from. The pressure collects
+    the affine multipliers of the projection scaled by 1/dt, mean-zero by
+    construction.
     """
     obs = workspace_obstacle(ws, u)
-    v_new, pressure, info = project_K(VectorField(ws.grid, tuple(v_star)), obs, ws.dt)
+    v_new, pressure, info = project_K(
+        VectorField(ws.grid, tuple(v_star)), obs, ws.dt, lam=lam
+    )
     report = FlowStepReport(
         dykstra_sweeps=info["sweeps"],
         max_excess=info["max_excess"],
         max_div=info["max_div"],
         pressure_residual=info["pressure_residual"],
+        lam=info["lam"],
     )
     return v_new, pressure, report, obs
 

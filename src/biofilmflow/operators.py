@@ -66,24 +66,27 @@ def scatter_faces(faces):
     return out
 
 
-def interp_centers(comps):
-    """Face-to-center average; shape (*cells, nd)."""
+def center_average(comps):
+    """Face-to-center average, one cell array per component."""
     nd = len(comps)
-    cols = []
-    for ax, c in enumerate(comps):
-        cols.append(
-            0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
-        )
-    return np.stack(cols, axis=-1)
+    return [
+        0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
+        for ax, c in enumerate(comps)
+    ]
+
+
+def interp_centers(comps):
+    """Face-to-center average stacked as one (*cells, nd) array."""
+    return np.stack(center_average(comps), axis=-1)
 
 
 def interp_centers_adjoint(m):
-    """Transpose of ``interp_centers``: spread (*cells, nd) cell data onto
-    the faces, half to each of a cell's two faces per component."""
-    nd = m.shape[-1]
+    """Transpose of ``center_average``: spread per-component cell data
+    onto the faces, half to each of a cell's two faces per component."""
+    nd = len(m)
     out = []
-    for ax in range(nd):
-        half = 0.5 * m[..., ax]
+    for ax, c in enumerate(m):
+        half = 0.5 * c
         shape = list(half.shape)
         shape[ax] += 1
         f = np.zeros(shape)
@@ -91,6 +94,18 @@ def interp_centers_adjoint(m):
         f[axslice(nd, ax, slice(1, None))] += half
         out.append(f)
     return out
+
+
+def cell_norm(m):
+    """Euclidean norm per cell of per-component cell data, e.g. the cell
+    speed ``cell_norm(center_average(comps))``.
+
+    The squares are summed component by component, in axis order.
+    """
+    sq = m[0] * m[0]
+    for c in m[1:]:
+        sq += c * c
+    return np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------

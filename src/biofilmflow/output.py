@@ -78,7 +78,7 @@ def _write_cell_vectors(path, name, grid, centered, step):
     ncell = int(np.prod(grid.cells))
     vec = np.zeros((ncell, 3))
     for ax in range(grid.dim):
-        vec[:, ax] = centered[..., ax].ravel(order="F")
+        vec[:, ax] = centered[ax].ravel(order="F")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _vtk_header(fh, f"{name} at step {step}", grid)
         fh.write(f"VECTORS {name} double\n")
@@ -98,7 +98,7 @@ def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):
                 raise ValueError("snapshot of the obstacle requested but none supplied")
             _write_cell_scalars(path, "obstacle", grid, obstacle.values, step)
         elif field == "v":
-            centered = ops.interp_centers(list(state.v.comps))
+            centered = ops.center_average(state.v.comps)
             _write_cell_vectors(path, "velocity", grid, centered, step)
         else:
             raise ValueError(f"unknown snapshot field {field!r}")

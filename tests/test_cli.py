@@ -210,6 +210,16 @@ def test_zero_steps_echo(tmp_path):
     assert "nothing to solve" in res.stdout
 
 
+def test_steps_too_large_for_a_float_is_a_config_error(tmp_path):
+    # the step count times dt must be a finite end time; an integer too
+    # large to convert to a float used to escape as an OverflowError
+    cfg = _write_cfg(tmp_path)
+    res = _cli("--config", str(cfg), "--steps", "1" + "0" * 400, "--validate-only")
+    assert res.returncode == 2
+    assert "--steps" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_out_dir_override_beats_config(tmp_path):
     cfg = _write_cfg(tmp_path, out_dir="none")
     target = tmp_path / "elsewhere"

@@ -237,13 +237,20 @@ def test_run_records_trajectory(tmp_path):
 @pytest.fixture(scope="module")
 def saturated_block():
     """C02's 3-step saturated block: (Newton iterations of every biomass
-    call, StepDiagnostics of every step)."""
+    call, StepDiagnostics of every step, (lam passed in, FlowStepReport)
+    of every flow call)."""
     params = ModelParams()
     iters = []
+    flows = []
 
     def counted(*args, **kwargs):
         out = step_biomass(*args, **kwargs)
         iters.append(out[1].newton_iters)
+        return out
+
+    def flow_counted(*args, **kwargs):
+        out = step_flow(*args, **kwargs)
+        flows.append((kwargs.get("lam"), out[2]))
         return out
 
     g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
@@ -267,10 +274,11 @@ def saturated_block():
     diags = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coupling_mod, "step_biomass", counted)
+        mp.setattr(coupling_mod, "step_flow", flow_counted)
         for _ in range(3):
             state, diag = picard_step(stepper, state, force)
             diags.append(diag)
-    return iters, diags
+    return iters, diags, flows
 
 
 def test_saturated_block_newton_stays_short(saturated_block):
@@ -278,16 +286,40 @@ def test_saturated_block_newton_stays_short(saturated_block):
     # Jacobian factored on the other side of the penalty branch stalls
     # the iteration; with the refresh on a branch flip every biomass
     # call settles well inside newton_max
-    iters, _ = saturated_block
+    iters, _, _ = saturated_block
     assert iters
     assert max(iters) <= 40, iters
 
 
 def test_saturated_block_projection_stays_short(saturated_block):
-    # the obstacle binds on the whole block, and the iteration count
-    # grows from step to step; the restarted dual gradient must keep
-    # every accepted round's projection to a few hundred iterations
-    _, diags = saturated_block
+    # the obstacle binds on the whole block; the restarted dual gradient
+    # must keep every accepted round's projection to a few hundred
+    # iterations
+    _, diags, flows = saturated_block
     sweeps = [d.dykstra_sweeps for d in diags]
     assert len(sweeps) == 3
     assert max(sweeps) <= 500, sweeps
+    # every round counts, not just the accepted ones: a round started
+    # from the previous round's multipliers needs far fewer iterations
+    total = sum(rep.dykstra_sweeps for _, rep in flows)
+    assert total <= 1600, [rep.dykstra_sweeps for _, rep in flows]
+
+
+def test_picard_rounds_hand_multipliers_forward(saturated_block):
+    # the first round of a step starts the projection from zero, so the
+    # step depends on its start state only; each later round starts from
+    # the multipliers the round before it returned
+    _, diags, flows = saturated_block
+    assert any(d.picard_iters > 1 for d in diags)
+    rounds = iter(flows)
+    for d in diags:
+        prev = None
+        for k in range(d.picard_iters):
+            lam, rep = next(rounds)
+            if k == 0:
+                assert lam is None
+            else:
+                assert lam is prev.lam
+            prev = rep
+        assert prev.dykstra_sweeps == d.dykstra_sweeps
+    assert next(rounds, None) is None

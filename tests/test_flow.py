@@ -343,16 +343,22 @@ def test_predictor_rejects_nonfinite_viscous_form(params):
         predict_velocity(ws, VectorField.zeros(g), gforce)
 
 
-def _check_against_dense_oracle(cells, first_seed):
-    # small instances against an independent dense constrained solver
+def _check_against_dense_oracle(cells, first_seed, warm=False):
+    # small instances against an independent dense constrained solver;
+    # warm starts each projection from the multipliers of the same field
+    # projected onto a tighter, unrelated obstacle
     for seed in range(first_seed, first_seed + 3):
         rng = np.random.default_rng(seed)
         g = Grid((1.0,) * len(cells), cells)
         comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim))
         obs = rng.uniform(0.25, 0.6, g.cells)
+        lam = None
+        if warm:
+            other = ObstacleField(g, rng.uniform(0.05, 0.2, g.cells))
+            lam = project_K(VectorField(g, comps), other, dt=1.0)[2]["lam"]
         out, _, info = project_K(
             VectorField(g, comps), ObstacleField(g, obs), dt=1.0,
-            feas_tol=1e-10, step_tol=1e-12,
+            feas_tol=1e-10, step_tol=1e-12, lam=lam,
         )
         ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
         assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
@@ -370,6 +376,30 @@ def test_project_K_matches_dense_oracle_3d(params):
     _check_against_dense_oracle((3, 3, 3), 60)
 
 
+@pytest.mark.parametrize("cells, first_seed", [((4, 4), 40), ((3, 3, 3), 60)])
+def test_project_K_warm_started_elsewhere_matches_dense_oracle(params, cells, first_seed):
+    # multipliers are a starting point only: the limit is the projection
+    # onto the obstacle at hand, whatever they came from
+    _check_against_dense_oracle(cells, first_seed, warm=True)
+
+
+def test_project_K_restarts_from_its_own_multipliers(params):
+    g = Grid((1.0, 1.0), (12, 12))
+    rng = np.random.default_rng(9)
+    v = VectorField(g, tuple(0.6 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
+    obs = ObstacleField(g, np.full(g.cells, 0.3))
+    first, p_first, info = project_K(v, obs, dt=1.0)
+    assert info["sweeps"] > 2  # the obstacle binds
+    assert len(info["lam"]) == 2 and info["lam"][0].shape == g.cells
+    again, p_again, info_again = project_K(v, obs, dt=1.0, lam=info["lam"])
+    assert info_again["sweeps"] <= 2
+    assert max(np.abs(a - b).max() for a, b in zip(first.comps, again.comps)) < 1e-9
+    assert np.abs(p_first.values - p_again.values).max() < 1e-9
+    # zero multipliers are the cold start, bit for bit
+    zero, _, _ = project_K(v, obs, dt=1.0, lam=[np.zeros(g.cells)] * 2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first.comps, zero.comps))
+
+
 def test_projection_variational_characterization(params):
     # the projection v_bar of v satisfies <v - v_bar, z - v_bar> <= 0 for
     # every feasible z
@@ -382,8 +412,7 @@ def test_projection_variational_characterization(params):
     resid = [a - b for a, b in zip(v.comps, vbar.comps)]
     for seed in range(5):
         z = stream_field_2d(g, np.random.default_rng(70 + seed), amplitude=1.0)
-        m = ops.interp_centers(list(z.comps))
-        speed = np.sqrt(np.sum(m * m, axis=-1)).max()
+        speed = ops.cell_norm(ops.center_average(z.comps)).max()
         z = VectorField(g, tuple(0.9 * 0.3 / speed * c for c in z.comps))
         gap = [a - b for a, b in zip(z.comps, vbar.comps)]
         inner = ops.face_dot(resid, gap, g.cell_volume)
@@ -419,8 +448,7 @@ def test_step_flow_solid_block_caps_speed(params):
         # every step honors its own obstacle to projection tolerance
         assert rep.max_excess <= 1e-8 * p0_mu
         assert rep.max_div <= 1e-8
-    m = ops.interp_centers(list(v.comps))
-    speed = np.sqrt(np.sum(m * m, axis=-1))
+    speed = ops.cell_norm(ops.center_average(v.comps))
     assert speed[14:18, 14:18].max() <= params.mu + 1e-8
     # the fluid region is allowed to move much faster
     assert speed.max() > 10 * params.mu
@@ -462,8 +490,7 @@ def test_step_flow_unforced_is_dissipative(params):
 def test_make_feasible_examples(params):
     g = Grid((1.0, 1.0), (12, 12))
     eta = stream_field_2d(g, np.random.default_rng(13), amplitude=1.0)
-    m = ops.interp_centers(list(eta.comps))
-    speed = np.sqrt(np.sum(m * m, axis=-1)).max()
+    speed = ops.cell_norm(ops.center_average(eta.comps)).max()
     eta = VectorField(g, tuple(0.3 / speed * c for c in eta.comps))
     obs_old = ObstacleField(g, np.full(g.cells, 0.3))
 
