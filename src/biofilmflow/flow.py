@@ -292,9 +292,8 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     r = obs.values
     if lam is None:
         lam = [np.zeros(r.shape) for _ in range(grid.dim)]
-        y_in = list(v.comps)
-    else:
-        y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam))]
+    # v - M^T 0 is v bit for bit, so a cold start projects v itself
+    y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam))]
     x, phi = _project_affine(y_in, h)
     m = ops.center_average(x)
     y, m_y, t = lam, m, 1.0
