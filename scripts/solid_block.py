@@ -68,6 +68,7 @@ def main():
             f"step {k + 1:3d}: core speed {speed[core].max():.4e}"
             f"  fluid max {speed.max():.4f}"
             f"  projection iters {diag.dykstra_sweeps:5d}  newton {diag.newton_iters}"
+            f"  krylov {diag.krylov_iters}"
         )
         if (k + 1) % 5 == 0 or k + 1 == args.steps:
             write_snapshot(

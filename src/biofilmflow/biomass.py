@@ -9,9 +9,12 @@ with beta the Lipschitz surrogate of the diffusion graph, Dirichlet
 value 0 for u and beta(u) on the gamma0 faces, no flux elsewhere. The
 convected quantity is the mollified cutoff density at the *new* time
 level, so the whole step is one nonlinear system; it is solved by a
-damped Newton method whose Jacobian keeps the diffusion and reaction
-terms exact but freezes the convection term (its contribution is
-O(dt |v|/h) and chasing it buys nothing at the step sizes of interest).
+damped inexact Newton method whose Jacobian keeps the diffusion and
+reaction terms exact but freezes the convection term (its contribution
+is O(dt |v|/h) and chasing it buys nothing at the step sizes of
+interest). Each Newton system is solved matrix-free by Jacobi-
+preconditioned conjugate gradients on its symmetrized form, to a
+forcing term on the true linear residual (see _newton_direction).
 
 The converged solution obeys the discrete comparison bounds up to the
 Newton tolerance plus the surrogate's penalty undershoot (which scales
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import operators as ops
 from .constitutive import (
@@ -40,6 +42,9 @@ from .mollify import build_cutoff, build_kernel, mollify_array
 
 # Newton stops once dt times the sup-norm of the residual is below this
 NEWTON_TOL = 1e-11
+# forcing term: each Newton direction leaves a linear residual of at most
+# ETA times the nonlinear one (sup-norms)
+ETA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,14 @@ class BiomassStepConfig:
 @dataclass
 class BiomassStepReport:
     newton_iters: int
+    krylov_iters: int
     residual: float
     pre_clamp_min: float
     pre_clamp_max: float
     clamp_mass: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiomassWorkspace:
     """Per-(grid, params) precomputations for the biomass step."""
 
@@ -70,21 +76,20 @@ class BiomassWorkspace:
     kernel_mu: object
     cutoff: np.ndarray
     stiffness: sp.csr_matrix  # acts on the transformed variable beta(u)
-    # most recent Jacobian factorization, reused across Newton iterations
-    # and coupling rounds while it still contracts (see step_biomass)
-    jac_lu: object = None
-    jac_key: tuple = None
-    # cells on the u < 0 penalty branch when jac_lu was factored
-    jac_neg: np.ndarray = None
+    stiffness_diag: np.ndarray
+    stiffness_norm: float  # sup-norm: the largest absolute row sum
 
 
 def make_biomass_workspace(grid, params):
+    stiffness = ops.scalar_laplacian_gamma0(grid)
     return BiomassWorkspace(
         grid=grid,
         params=params,
         kernel_mu=build_kernel(params.mu, grid),
         cutoff=build_cutoff(grid, params.mu),
-        stiffness=ops.scalar_laplacian_gamma0(grid),
+        stiffness=stiffness,
+        stiffness_diag=stiffness.diagonal(),
+        stiffness_norm=float(abs(stiffness).sum(axis=1).max()),
     )
 
 
@@ -102,21 +107,48 @@ def _residual(x, u_old, growth, v, ws, dt):
     return (x - u_old) / dt + diff + conv + (p.b - growth) * x
 
 
-def _jacobian(x, growth, ws, dt):
-    """Newton matrix I/dt + diag(b - growth) + S diag(beta'(x)), convection
-    frozen (see the module docstring).
+def _newton_direction(ws, g, s, c, eta):
+    """Inexact solve of J delta = -g, J = diag(c) + S diag(s), flat arrays.
 
-    S is weakly column diagonally dominant with nonpositive off-diagonals
-    and beta' >= 0, so the matrix is strictly column diagonally dominant by
-    1/dt + b - growth wherever that is positive. The product drops the
-    columns of S whose slope is zero, and the sparsity pattern follows.
+    With y = sqrt(s) delta, sqrt(s) times the system reads M y = -sqrt(s) g
+    for the symmetric M = diag(c) + sqrt(s) S sqrt(s), and the first row
+    block gives delta = (-g - S(sqrt(s) y)) / c, which never divides by s.
+    For a CG residual rho = -sqrt(s) g - M y that delta leaves the true
+    linear residual J delta + g = S(sqrt(s) rho / c), so CG stops once
+    |S| |sqrt(s) rho / c| <= eta |g| in the sup-norm. It starts from the
+    reaction-only solution y = -sqrt(s) g / c, which is exact where the
+    slopes vanish. Once dt (k1 - b) >= 1, c can be negative and M (even
+    its Jacobi diagonal) indefinite; CG then stops early, without dividing
+    by it, on a curvature or preconditioned residual product that is not
+    positive, and the line search judges the direction it has.
+    Returns (delta, CG iterations).
     """
-    slope = biomass_diffusion_reg_deriv(x, ws.params).ravel()
-    return (
-        sp.identity(x.size, format="csr") / dt
-        + sp.diags((ws.params.b - growth).ravel())
-        + ws.stiffness @ sp.diags(slope)
-    )
+    stiff = ws.stiffness
+    root = np.sqrt(s)
+    rhs = -root * g
+    y = rhs / c
+    r = rhs - (c * y + root * (stiff @ (root * y)))
+    weight = ws.stiffness_norm * root / np.abs(c)
+    target = eta * float(np.abs(g).max())
+    diag = c + s * ws.stiffness_diag
+    z = r / diag
+    d = z
+    rz = float(r @ z)
+    its = 0
+    while its < g.size and float(np.abs(weight * r).max()) > target:
+        md = c * d + root * (stiff @ (root * d))
+        dmd = float(d @ md)
+        if not (dmd > 0.0 and rz > 0.0):
+            break
+        alpha = rz / dmd
+        y += alpha * d
+        r -= alpha * md
+        z = r / diag
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+        its += 1
+    return (-g - stiff @ (root * y)) / c, its
 
 
 def step_biomass(ws, u, w, v, cfg, x0=None):
@@ -131,6 +163,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     grid = ws.grid
     w_tilde = mollify_array(np.clip(w.values, 0.0, 1.0), ws.kernel_mu)
     growth = consumption_rate(w_tilde, p)
+    react = (1.0 / dt + p.b - growth).ravel()
 
     u_old = u.values
     x = np.array(u_old if x0 is None else x0, dtype=float, copy=True)
@@ -138,30 +171,18 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     res = float(np.abs(g_vec).max()) * dt
     history = [res]
 
-    # Modified Newton: the factorization is the expensive primitive, so the
-    # last one is cached on the workspace and reused while it keeps halving
-    # the residual. The diagonal moves O(dt) per step and the beta' slopes
-    # drift slowly along a trajectory, so in quiet stretches whole steps run
-    # on an old factorization; the contraction monitor refreshes it the
-    # moment that stops being true. The slope of beta jumps from 0 to
-    # 1/lambda across u = 0, so a factorization is also dropped as soon as
-    # any cell crosses to the other side of 0 than it was factored at: an
-    # old branch there gives directions that barely reduce the residual.
+    # Inexact Newton-Krylov: every iteration takes fresh slopes of beta and
+    # solves its Jacobian system to the forcing term eta (_newton_direction),
+    # so nothing is carried from one call to the next. The slopes jump from
+    # 0 to 1/lambda across u = 0 and reach the cap slope near u*, where the
+    # recovered direction amplifies the inner error most; a direction that
+    # the line search cannot use is solved again with eta a thousand times
+    # smaller, down to 1e-10, and only a failure there ends the step.
     # Acceptance is always on the true residual, never on the quality of
-    # the Jacobian.
-    #
-    # The Jacobian is strictly column diagonally dominant while
-    # dt (k1 - b) < 1 (see _jacobian), so Gaussian elimination on its
-    # diagonal is stable and a symmetric fill-reducing ordering applies:
-    # minimum degree on A^T + A, in SuperLU's symmetric mode. That halves
-    # the fill of the default column ordering in 3D. SuperLU's default
-    # pivot threshold then takes every dominant diagonal and still pivots
-    # by rows where a column is not dominant.
-    cache_key = (dt,)
-    lu = ws.jac_lu if ws.jac_key == cache_key else None
-    lu_fresh = False
-
+    # the inner solve.
+    eta = ETA
     it = 0
+    krylov_iters = 0
     while res > NEWTON_TOL:
         if it >= cfg.newton_max:
             raise NonConvergenceError(
@@ -170,18 +191,10 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
                 residual=res,
                 history=history,
             )
-        neg = x < 0.0
-        if lu is not None and not np.array_equal(neg, ws.jac_neg):
-            lu = None
-        if lu is None:
-            lu = splu(
-                _jacobian(x, growth, ws, dt).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True),
-            )
-            ws.jac_lu, ws.jac_key, ws.jac_neg = lu, cache_key, neg
-            lu_fresh = True
-        delta = lu.solve(-g_vec.ravel()).reshape(grid.cells)
+        slope = biomass_diffusion_reg_deriv(x, p).ravel()
+        delta, its = _newton_direction(ws, g_vec.ravel(), slope, react, eta)
+        delta = delta.reshape(grid.cells)
+        krylov_iters += its
         # backtracking on the sup-norm of the residual
         step = 1.0
         accepted = False
@@ -195,21 +208,17 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
             step *= 0.5
         it += 1
         if not accepted:
-            if lu_fresh:
+            if eta * 1e-3 < 1e-12:
                 raise NonConvergenceError(
                     f"biomass Newton line search failed at residual {res:.3e} "
-                    f"with a current Jacobian (tol {NEWTON_TOL:.1e})",
+                    f"with a direction solved to {eta:.0e} (tol {NEWTON_TOL:.1e})",
                     residual=res,
                     history=history,
                 )
-            lu = None  # stale direction went uphill: refactor here and retry
+            eta *= 1e-3
             continue
-        slow = res_try > 0.5 * res
         x, g_vec, res = x_try, g_try, res_try
         history.append(res)
-        if slow and not lu_fresh:
-            lu = None  # stale and barely contracting: next pass refactors
-        lu_fresh = False
 
     pre_min = float(x.min())
     pre_max = float(x.max())
@@ -217,6 +226,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     clamp_mass = float(np.abs(clamped - x).sum() * grid.cell_volume)
     report = BiomassStepReport(
         newton_iters=it,
+        krylov_iters=krylov_iters,
         residual=res,
         pre_clamp_min=pre_min,
         pre_clamp_max=pre_max,

@@ -218,6 +218,7 @@ def picard_step(stepper, state, g, record=None):
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),
         forcing_sq=ops.face_l2_sq(list(g.comps), vol),
         newton_iters=bio_rep.newton_iters,
+        krylov_iters=bio_rep.krylov_iters,
         dykstra_sweeps=flow_rep.dykstra_sweeps,
         predict_iters=predict_iters,
         pressure_residual=flow_rep.pressure_residual,

@@ -109,6 +109,7 @@ class StepDiagnostics:
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
     newton_iters: int = 0
+    krylov_iters: int = 0  # CG iterations summed over the Newton iterations
     # iterations of the accepted round's projection, counted from the
     # previous round's multipliers when the step took more than one round
     dykstra_sweeps: int = 0

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, minimize
 
 from biofilmflow import operators as ops
-from biofilmflow.constitutive import ModelParams
+from biofilmflow.constitutive import ModelParams, biomass_diffusion_reg_deriv
 from biofilmflow.grid import Grid, VectorField, build_grid
 
 
@@ -128,6 +128,27 @@ def component_laplacian(grid, axis):
                 ops.laplace_1d(grid.cells[ax], grid.h[ax], "dirichlet_face", "dirichlet_face")
             )
     return ops.kron_sum(blocks)
+
+
+# ---------------------------------------------------------------------------
+# assembled biomass Jacobian (oracle for the matrix-free Newton directions)
+# ---------------------------------------------------------------------------
+
+def biomass_jacobian(x, growth, ws, dt):
+    """Newton matrix I/dt + diag(b - growth) + S diag(beta'(x)), convection
+    frozen (see the biomass module docstring).
+
+    S is weakly column diagonally dominant with nonpositive off-diagonals
+    and beta' >= 0, so the matrix is strictly column diagonally dominant by
+    1/dt + b - growth wherever that is positive. The product drops the
+    columns of S whose slope is zero, and the sparsity pattern follows.
+    """
+    slope = biomass_diffusion_reg_deriv(x, ws.params).ravel()
+    return (
+        sp.identity(x.size, format="csr") / dt
+        + sp.diags((ws.params.b - growth).ravel())
+        + ws.stiffness @ sp.diags(slope)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Tests for the degenerate biomass diffusion step."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import stream_field_2d
+from conftest import biomass_jacobian, stream_field_2d
 
 from biofilmflow import biomass
 from biofilmflow import operators as ops
 from biofilmflow.biomass import (
     NEWTON_TOL,
     BiomassStepConfig,
-    _jacobian,
     biomass_energy,
     make_biomass_workspace,
     step_biomass,
@@ -19,6 +23,7 @@ from biofilmflow.biomass import (
 from biofilmflow.constitutive import ModelParams, consumption_rate, diffusion_energy
 from biofilmflow.errors import ConfigError, NonConvergenceError
 from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
+from biofilmflow.mollify import mollify_array
 
 
 def test_zero_biomass_is_fixed_point(params):
@@ -156,8 +161,9 @@ def test_transport_perturbation_is_lipschitz(params):
 
 
 def test_result_independent_of_workspace_history(params):
-    # the cached Jacobian factorization is an accelerator only: a warm
-    # workspace must give the same answer as a fresh one
+    # the workspace holds precomputations only and a step carries nothing
+    # to the next: a workspace that has taken steps gives the same answer,
+    # bit for bit, as a fresh one
     g = build_grid(2, (1.0, 1.0), (16, 16), ("left",))
     cfg = BiomassStepConfig(dt=1e-3)
     rng = np.random.default_rng(5)
@@ -172,14 +178,14 @@ def test_result_independent_of_workspace_history(params):
 
     ws_fresh = make_biomass_workspace(g, params)
     out_fresh, _ = step_biomass(ws_fresh, u, w, v, cfg)
-    # both runs satisfy the same residual tolerance; answers agree to solver tol
-    assert np.abs(out_warm.values - out_fresh.values).max() <= 1e-9
+    assert np.array_equal(out_warm.values, out_fresh.values)
 
 
 def test_jacobian_is_column_dominant_by_reaction_margin(params):
     # S is weakly column dominant with nonpositive off-diagonals and the
     # slopes are >= 0, so every column of J beats its off-diagonal sum by
-    # at least 1/dt + b - growth; that is what makes diagonal pivots stable
+    # at least 1/dt + b - growth; that is what keeps the Jacobi-preconditioned
+    # Newton systems positive definite
     g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
     ws = make_biomass_workspace(g, params)
     dt = 1e-3
@@ -189,7 +195,7 @@ def test_jacobian_is_column_dominant_by_reaction_margin(params):
     x[0, 0, :] = 0.0
     x[-1, -1, :] = params.u_star
     growth = consumption_rate(rng.uniform(0.0, 1.0, g.cells), params)
-    jac = _jacobian(x, growth, ws, dt).toarray()
+    jac = biomass_jacobian(x, growth, ws, dt).toarray()
     diag = np.abs(np.diag(jac))
     margin = diag - (np.abs(jac).sum(axis=0) - diag)
     floor = 1.0 / dt + params.b - growth.max()
@@ -201,19 +207,25 @@ def test_jacobian_is_column_dominant_by_reaction_margin(params):
     "k1, dt",
     [(0.5, 1e-3), (20.0, 0.6)],  # dt (k1 - b) = 4e-4, then 11.9 > 1
 )
-def test_factorization_directions_match_dense_solve(monkeypatch, k1, dt):
-    # every factorization a step makes solves its Jacobian as well as a
-    # dense solve: with diagonal pivots while the Jacobian is column
-    # dominant, with row pivoting once growth outruns 1/dt + b
-    factored = []
-    splu = biomass.splu
+def test_newton_directions_meet_forcing_term_on_dense_jacobian(monkeypatch, k1, dt):
+    # every matrix-free direction a step takes leaves a true linear residual
+    # against the assembled Jacobian within the forcing term, both while the
+    # Jacobian is column dominant and once growth outruns 1/dt + b
+    iterates, directions = [], []
+    slope_of = biomass.biomass_diffusion_reg_deriv
+    direction_of = biomass._newton_direction
 
-    def recording_splu(a, **kwargs):
-        lu = splu(a, **kwargs)
-        factored.append((a.toarray(), lu))
-        return lu
+    def recording_slope(x, p):
+        iterates.append(x.copy())
+        return slope_of(x, p)
 
-    monkeypatch.setattr(biomass, "splu", recording_splu)
+    def recording_direction(ws, g, s, c, eta):
+        delta, its = direction_of(ws, g, s, c, eta)
+        directions.append((g.copy(), eta, delta))
+        return delta, its
+
+    monkeypatch.setattr(biomass, "biomass_diffusion_reg_deriv", recording_slope)
+    monkeypatch.setattr(biomass, "_newton_direction", recording_direction)
     p = ModelParams(k1=k1)
     g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
     ws = make_biomass_workspace(g, p)
@@ -222,18 +234,46 @@ def test_factorization_directions_match_dense_solve(monkeypatch, k1, dt):
     w = ScalarField(g, rng.uniform(0.5, 1.0, g.cells))
     _, rep = step_biomass(ws, u, w, VectorField.zeros(g), BiomassStepConfig(dt=dt))
     assert rep.residual <= NEWTON_TOL
-    assert factored
+    assert rep.newton_iters == len(directions) == len(iterates)
+    assert rep.krylov_iters > 0
+    growth = consumption_rate(mollify_array(w.values, ws.kernel_mu), p)
     dominant = dt * (k1 - p.b) < 1.0
-    diagonal_pivots = []
-    for jac, lu in factored:
+    for x, (res, eta, delta) in zip(iterates, directions):
+        jac = biomass_jacobian(x, growth, ws, dt).toarray()
         diag = np.abs(np.diag(jac))
         margin = (diag - (np.abs(jac).sum(axis=0) - diag)).min()
         assert (margin > 0.0) == dominant
-        diagonal_pivots.append(np.array_equal(lu.perm_r, lu.perm_c))
-        rhs = rng.standard_normal(jac.shape[0])
-        ref = np.linalg.solve(jac, rhs)
-        assert np.abs(lu.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert all(diagonal_pivots) == dominant
+        assert np.abs(jac @ delta + res).max() <= eta * np.abs(res).max()
+
+
+@pytest.mark.parametrize("react", [-10.0, -60.0])
+def test_newton_direction_stops_cleanly_on_indefinite_system(params, react):
+    # growth beyond 1/dt + b makes c < 0: with unit slopes the symmetric
+    # form is indefinite (-10), or even its Jacobi diagonal is (-60); CG
+    # must stop early with a finite direction instead of dividing by a
+    # curvature that is not positive
+    g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
+    ws = make_biomass_workspace(g, params)
+    n = g.cells[0] * g.cells[1] * g.cells[2]
+    res = np.random.default_rng(0).standard_normal(n)
+    delta, its = biomass._newton_direction(
+        ws, res, np.ones(n), np.full(n, react), biomass.ETA
+    )
+    assert its < n
+    assert np.all(np.isfinite(delta))
+
+
+def test_package_import_leaves_scipy_sparse_linalg_out():
+    # run against the copy of the package this module imported
+    src = str(Path(biomass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, biofilmflow; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_newton_failure_raises_with_history(params):
