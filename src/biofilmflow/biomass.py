@@ -38,7 +38,7 @@ from .constitutive import (
 )
 from .errors import ConfigError, NonConvergenceError
 from .grid import ScalarField
-from .mollify import build_cutoff, build_kernel, mollify_array
+from .mollify import build_cutoff, mollifier, mollify_array
 
 # Newton stops once dt times the sup-norm of the residual is below this
 NEWTON_TOL = 1e-11
@@ -73,7 +73,7 @@ class BiomassWorkspace:
 
     grid: object
     params: object
-    kernel_mu: object
+    mollifier_mu: object
     cutoff: np.ndarray
     stiffness: sp.csr_matrix  # acts on the transformed variable beta(u)
     stiffness_diag: np.ndarray
@@ -85,7 +85,7 @@ def make_biomass_workspace(grid, params):
     return BiomassWorkspace(
         grid=grid,
         params=params,
-        kernel_mu=build_kernel(params.mu, grid),
+        mollifier_mu=mollifier(params.mu, grid),
         cutoff=build_cutoff(grid, params.mu),
         stiffness=stiffness,
         stiffness_diag=stiffness.diagonal(),
@@ -101,7 +101,7 @@ def biomass_energy(u, params):
 def _residual(x, u_old, growth, v, ws, dt):
     p = ws.params
     beta = biomass_diffusion_reg(x, p)
-    conv_field = mollify_array(ws.cutoff * x, ws.kernel_mu)
+    conv_field = mollify_array(ws.cutoff * x, ws.mollifier_mu)
     conv = ops.upwind_flux_divergence(conv_field, v, ws.grid.h)
     diff = (ws.stiffness @ beta.ravel()).reshape(ws.grid.cells)
     return (x - u_old) / dt + diff + conv + (p.b - growth) * x
@@ -161,7 +161,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     p = ws.params
     dt = cfg.dt
     grid = ws.grid
-    w_tilde = mollify_array(np.clip(w.values, 0.0, 1.0), ws.kernel_mu)
+    w_tilde = mollify_array(np.clip(w.values, 0.0, 1.0), ws.mollifier_mu)
     growth = consumption_rate(w_tilde, p)
     react = (1.0 / dt + p.b - growth).ravel()
 

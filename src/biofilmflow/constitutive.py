@@ -194,31 +194,50 @@ def biomass_diffusion_reg_deriv(r, p):
     return out if out.ndim else float(out)
 
 
-def _simpson_panels(f, dx):
-    """Three-point Simpson integral over the first interval of every node
-    triple (x_i, x_i+1, x_i+2), for unequal spacings dx."""
-    h1, h2 = dx[:-1], dx[1:]
-    q = h1 / (h1 + h2)
-    qr = q * (h1 / h2)
-    return h1 / 6 * ((3 - q) * f[:-2] + (3 + qr + q) * f[1:-1] - qr * f[2:])
+def _simpson_panels(f0, f1, f2, h1, h2, out):
+    """Three-point Simpson integral over the first interval of node
+    triples with values (f0, f1, f2) and unequal spacings (h1, h2), into
+    out: h1/6 ((3 - q) f0 + (3 + qr + q) f1 - qr f2) with q = h1/(h1 + h2)
+    and qr = q h1/h2, every operation as SciPy orders it. The steps run
+    in place because each temporary is half the size of the table.
+    """
+    q = h1 + h2
+    np.divide(h1, q, out=q)
+    qr = h1 / h2
+    qr *= q
+    mid = 3 + qr  # (3 + qr + q) f1
+    mid += q
+    mid *= f1
+    np.subtract(3, q, out=q)  # (3 - q) f0 + mid - qr f2
+    q *= f0
+    q += mid
+    qr *= f2
+    q -= qr
+    np.divide(h1, 6, out=out)
+    out *= q
 
 
 def _cumulative_simpson(f, x):
     """Cumulative composite Simpson integral of f over the nodes x, from 0.
 
     Even intervals take the rule of the triple they open, odd ones (and
-    the last) the rule of the triple they close. The arithmetic is
-    SciPy's cumulative Simpson rule for unequal intervals, term for term,
-    so the table agrees with it bit for bit.
+    the last) the rule of the triple they close: the even triples serve
+    both, read forward and backward, and the last triple closes the last
+    interval. The arithmetic is SciPy's cumulative Simpson rule for
+    unequal intervals, term for term, so the table agrees with it bit for
+    bit.
     """
     dx = np.diff(x)
-    opened = _simpson_panels(f, dx)
-    closed = _simpson_panels(f[::-1], dx[::-1])[::-1]
-    sub = np.empty(dx.size)
-    sub[:-1:2] = opened[::2]
-    sub[1::2] = closed[::2]
-    sub[-1] = closed[-1]
-    return np.concatenate(([0.0], np.cumsum(sub)))
+    f0, f1, f2 = f[:-2:2], f[1:-1:2], f[2::2]
+    h1, h2 = dx[:-1:2], dx[1::2]
+    cum = np.empty(x.size)
+    cum[0] = 0.0
+    sub = cum[1:]
+    _simpson_panels(f0, f1, f2, h1, h2, sub[:-1:2])
+    _simpson_panels(f2, f1, f0, h2, h1, sub[1::2])
+    _simpson_panels(f[-1:], f[-2:-1], f[-3:-2], dx[-1:], dx[-2:-1], sub[-1:])
+    np.cumsum(sub, out=sub)
+    return cum
 
 
 @lru_cache(maxsize=8)

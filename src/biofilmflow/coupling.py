@@ -37,7 +37,7 @@ from .flow import (
     workspace_obstacle,
 )
 from .grid import ScalarField, VectorField
-from .mollify import build_cutoff, build_kernel
+from .mollify import build_cutoff, mollifier
 from .nutrient import make_nutrient_workspace, step_nutrient
 
 # relative divergence above which the initial velocity is projected
@@ -119,7 +119,7 @@ def check_initial_data(u0, w0, v0, params):
         v0, _, _ = pressure_project(v0, dt=1.0)
 
     dens = obstacle_density(
-        uv, build_cutoff(grid, params.mu), build_kernel(params.eps, grid), params.u_star
+        uv, build_cutoff(grid, params.mu), mollifier(params.eps, grid), params.u_star
     )
     speed = ops.cell_norm(ops.center_average(v0.comps))
     ceiling = np.full(grid.cells, np.inf)

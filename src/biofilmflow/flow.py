@@ -11,7 +11,9 @@ The predictor treats viscosity and convection implicitly but freezes
 the advecting field at the old velocity, so the convection operator is
 exactly skew against the new iterate and the discrete kinetic-energy
 inequality holds with no quadrature defect. Its viscous part is
-diagonal in a sine basis and solved exactly by fast transforms. The
+diagonal in a sine basis (DST-I along a component's own axis, DST-II
+across it) and solved exactly by the orthonormal transform matrices of
+``operators.trig_matrix``; the eigenvalues are cached per grid. The
 predictor does not depend on the biomass, so it runs once per time
 step; only the projection sees the biomass iterate. The projection
 onto K(r) is solved in its dual, one multiplier per cell for the speed
@@ -30,15 +32,15 @@ pressure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from . import operators as ops
 from .constitutive import speed_limit_reg
 from .errors import ConfigError, NonConvergenceError, StabilityError
 from .grid import ScalarField, VectorField
-from .mollify import build_cutoff, build_kernel, mollify_array
+from .mollify import build_cutoff, mollifier, mollify_array
 
 
 # projection onto K: speed excess and divergence bound, primal increment
@@ -77,7 +79,7 @@ class FlowWorkspace:
     grid: object
     params: object
     dt: float
-    kernel_eps: object
+    mollifier_eps: object
     cutoff: np.ndarray
     helmholtz_eig: tuple  # per component: 1 + dt nu (eigenvalues of A_ax)
     poincare: float
@@ -91,7 +93,7 @@ def make_flow_workspace(grid, params, dt):
         grid=grid,
         params=params,
         dt=dt,
-        kernel_eps=build_kernel(params.eps, grid),
+        mollifier_eps=mollifier(params.eps, grid),
         cutoff=build_cutoff(grid, params.mu),
         helmholtz_eig=tuple(
             1.0 + c * _sine_eigenvalues(grid, ax) for ax in range(grid.dim)
@@ -105,9 +107,10 @@ def _laplace_1d_eig(n, h, k):
     return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
 
 
+@lru_cache(maxsize=32)
 def _sine_eigenvalues(grid, axis):
     """Eigenvalues of the vector-Laplacian block A_axis, laid out on the
-    interior faces of component axis.
+    interior faces of component axis; built once per grid, read-only.
 
     The block is a Kronecker sum of 1D stencils. Along its own axis the
     boundary faces are pinned at zero and the n - 1 Dirichlet nodes are
@@ -122,6 +125,7 @@ def _sine_eigenvalues(grid, axis):
         shape = [1] * grid.dim
         shape[ax] = k.size
         lam = lam + _laplace_1d_eig(n, grid.h[ax], k).reshape(shape)
+    lam.setflags(write=False)
     return lam
 
 
@@ -136,14 +140,11 @@ def _sine_apply(x, diag, axis, op):
     """
     if x.size == 0:
         return x.copy()
-    kinds = [1 if ax == axis else 2 for ax in range(x.ndim)]
-    coef = x
-    for ax, kind in enumerate(kinds):
-        coef = dst(coef, type=kind, axis=ax, norm="ortho")
-    coef = op(coef, diag)
-    for ax, kind in enumerate(kinds):
-        coef = idst(coef, type=kind, axis=ax, norm="ortho")
-    return coef
+    mats = [
+        ops.trig_matrix(n, "dst1" if ax == axis else "dst2")
+        for ax, n in enumerate(x.shape)
+    ]
+    return ops.from_basis(op(ops.to_basis(x, mats), diag), mats)
 
 
 def poincare_constant(grid):
@@ -175,20 +176,20 @@ def vector_laplacian(grid, comps):
     ]
 
 
-def obstacle_density(u_values, cutoff, kernel, u_star):
+def obstacle_density(u_values, cutoff, smoother, u_star):
     """Biomass density the speed obstacle sees.
 
     The biomass is gated by the boundary-layer cutoff and smoothed with
-    the wide kernel. Smoothing is an average of values in [0, u*], but
+    the wide mollifier. Smoothing is an average of values in [0, u*], but
     rounding can poke out of the interval, hence the clip.
     """
-    return np.clip(mollify_array(cutoff * u_values, kernel), 0.0, u_star)
+    return np.clip(mollify_array(cutoff * u_values, smoother), 0.0, u_star)
 
 
 def workspace_obstacle(ws, u):
     """Pointwise speed bound induced by a biomass field: its
     ``obstacle_density`` pushed through the regularized speed law."""
-    dens = obstacle_density(u.values, ws.cutoff, ws.kernel_eps, ws.params.u_star)
+    dens = obstacle_density(u.values, ws.cutoff, ws.mollifier_eps, ws.params.u_star)
     return ObstacleField(u.grid, speed_limit_reg(dens, ws.params))
 
 

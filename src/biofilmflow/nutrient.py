@@ -27,7 +27,7 @@ from . import operators as ops
 from .constitutive import nutrient_diffusivity
 from .errors import ConfigError, NonConvergenceError, StabilityError
 from .grid import ScalarField
-from .mollify import build_kernel, mollify_array
+from .mollify import mollifier, mollify_array
 
 # conjugate gradients: relative residual bound, iteration cap
 CG_RTOL = 1e-13
@@ -45,11 +45,11 @@ class NutrientStepReport:
 class NutrientWorkspace:
     grid: object
     params: object
-    kernel_mu: object
+    mollifier_mu: object
 
 
 def make_nutrient_workspace(grid, params):
-    return NutrientWorkspace(grid=grid, params=params, kernel_mu=build_kernel(params.mu, grid))
+    return NutrientWorkspace(grid=grid, params=params, mollifier_mu=mollifier(params.mu, grid))
 
 
 def _face_diffusivity(d_center, grid):
@@ -120,7 +120,7 @@ def step_nutrient(ws, w, u, v, dt):
             residual=cfl,
         )
 
-    u_tilde = np.clip(mollify_array(u.values, ws.kernel_mu), 0.0, p.u_star)
+    u_tilde = np.clip(mollify_array(u.values, ws.mollifier_mu), 0.0, p.u_star)
     face_diff = _face_diffusivity(nutrient_diffusivity(u_tilde, p), grid)
 
     rhs = w.values - dt * ops.upwind_flux_divergence(w.values, v.comps, grid.h)

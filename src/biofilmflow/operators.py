@@ -1,7 +1,12 @@
 """Grid calculus on the staggered box: differences, transforms, stencils.
 
 Everything here works for 2D and 3D alike by slicing along a runtime
-axis. Conventions used throughout:
+axis. The orthonormal DCT-II, DST-I and DST-II are dense matrices built
+once per size from their closed forms and applied along each axis by a
+matrix product; the inverse is the transpose, so a diagonalization by
+them is exact to rounding. On grids of at most 64 cells per axis the
+products beat an FFT library's call overhead; on 128^2 the cosine
+Poisson solve is about 1.4 times slower. Conventions used throughout:
 
 * velocity components carry their boundary faces; a component is zero
   on its own-axis boundary faces (no-penetration) and the wall value of
@@ -15,11 +20,11 @@ axis. Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dctn, idctn
 
 from .grid import edge_axis_side
 
@@ -75,11 +80,6 @@ def center_average(comps):
     ]
 
 
-def interp_centers(comps):
-    """Face-to-center average stacked as one (*cells, nd) array."""
-    return np.stack(center_average(comps), axis=-1)
-
-
 def interp_centers_adjoint(m):
     """Transpose of ``center_average``: spread per-component cell data
     onto the faces, half to each of a cell's two faces per component."""
@@ -106,6 +106,65 @@ def cell_norm(m):
     for c in m[1:]:
         sq += c * c
     return np.sqrt(sq)
+
+
+# ---------------------------------------------------------------------------
+# Orthonormal trigonometric transforms as matrices
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def trig_matrix(n, kind):
+    """Orthonormal n x n transform, read-only; row k is basis vector k.
+
+    kind "dst1", "dst2" or "dct2": the norm="ortho" DST-I, DST-II and
+    DCT-II of scipy.fft,
+        DST-I   sqrt(2/(n+1)) sin(pi (k+1)(j+1) / (n+1)),
+        DST-II  sqrt(2/n) sin(pi (k+1)(2j+1) / (2n)), last row over sqrt 2,
+        DCT-II  sqrt(2/n) cos(pi k (2j+1) / (2n)), first row over sqrt 2.
+    The integer phase is reduced modulo its period before the scaling by
+    pi, so every entry is accurate to rounding.
+    """
+    k = np.arange(n)
+    if kind == "dst1":
+        phase = np.outer(k + 1, k + 1) % (2 * n + 2)
+        mat = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
+    elif kind == "dst2":
+        phase = np.outer(k + 1, 2 * k + 1) % (4 * n)
+        mat = math.sqrt(2.0 / n) * np.sin(np.pi * phase / (2 * n))
+        mat[-1] /= math.sqrt(2.0)
+    elif kind == "dct2":
+        phase = np.outer(k, 2 * k + 1) % (4 * n)
+        mat = math.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
+        mat[0] /= math.sqrt(2.0)
+    else:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    mat.setflags(write=False)
+    return mat
+
+
+def _apply_along(mat, x, axis):
+    """``mat`` applied to every line of x along ``axis``, one matrix product."""
+    shape = x.shape
+    n = shape[axis]
+    if axis == x.ndim - 1:
+        y = x.reshape(-1, n) @ mat.T
+    else:
+        y = mat @ x.reshape(math.prod(shape[:axis]), n, -1)
+    return y.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
+
+
+def to_basis(x, mats):
+    """Coefficients of x in the separable basis with one matrix per axis."""
+    for ax, mat in enumerate(mats):
+        x = _apply_along(mat, x, ax)
+    return x
+
+
+def from_basis(coef, mats):
+    """Inverse of ``to_basis``: the matrices are orthonormal, so transposes."""
+    for ax, mat in enumerate(mats):
+        coef = _apply_along(mat.T, coef, ax)
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +196,10 @@ def poisson_neumann(rhs, h):
     eigenvalue (constant mode) is projected out, which silently fixes
     any compatibility defect in the right-hand side.
     """
-    coef = dctn(rhs, type=2)
-    coef = coef / _neumann_eigenvalues(rhs.shape, tuple(h))
+    mats = [trig_matrix(n, "dct2") for n in rhs.shape]
+    coef = to_basis(rhs, mats) / _neumann_eigenvalues(rhs.shape, tuple(h))
     coef.flat[0] = 0.0
-    phi = idctn(coef, type=2)
+    phi = from_basis(coef, mats)
     return phi - phi.mean()
 
 

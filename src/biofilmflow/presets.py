@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ScalarField, VectorField
-from .mollify import build_kernel, mollify_array
+from .mollify import build_kernel, correlation_matrix, mollify_array
 
 
 def _parse_tokens(spec, what):
@@ -115,7 +115,7 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
         corr = _take(kv, "corr", 4.0 * max(grid.h))
         _reject_leftovers(kv, name, what)
         noise = rng.standard_normal(grid.cells)
-        smooth = mollify_array(noise, build_kernel(corr, grid))
+        smooth = mollify_array(noise, correlation_matrix(build_kernel(corr, grid), grid.cells))
         span = smooth.max() - smooth.min()
         if span > 0:
             smooth = (smooth - smooth.min()) / span

@@ -236,7 +236,7 @@ def test_newton_directions_meet_forcing_term_on_dense_jacobian(monkeypatch, k1, 
     assert rep.residual <= NEWTON_TOL
     assert rep.newton_iters == len(directions) == len(iterates)
     assert rep.krylov_iters > 0
-    growth = consumption_rate(mollify_array(w.values, ws.kernel_mu), p)
+    growth = consumption_rate(mollify_array(w.values, ws.mollifier_mu), p)
     dominant = dt * (k1 - p.b) < 1.0
     for x, (res, eta, delta) in zip(iterates, directions):
         jac = biomass_jacobian(x, growth, ws, dt).toarray()
@@ -263,12 +263,16 @@ def test_newton_direction_stops_cleanly_on_indefinite_system(params, react):
     assert np.all(np.isfinite(delta))
 
 
-def test_package_import_leaves_scipy_sparse_linalg_out():
-    # run against the copy of the package this module imported
+@pytest.mark.parametrize(
+    "module", ["scipy.sparse.linalg", "scipy.fft", "scipy.special", "scipy.ndimage"]
+)
+def test_package_import_leaves_scipy_sparse_linalg_out(module):
+    # the package needs numpy and scipy.sparse only; run against the copy
+    # of the package this module imported
     src = str(Path(biomass.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, biofilmflow; print('scipy.sparse.linalg' in sys.modules)"
+    code = f"import sys, biofilmflow; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env=env, timeout=120,

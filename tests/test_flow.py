@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy import fft
 
 from conftest import component_laplacian, dense_projection_reference, stream_field_2d
 
+from biofilmflow import flow
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import speed_limit, speed_limit_reg
 from biofilmflow.errors import ConfigError, StabilityError
@@ -242,6 +244,44 @@ def test_vector_laplacian_matches_assembled_operator(extents, cells):
             continue
         err = np.linalg.norm(ops.interior_faces(got[ax], ax).ravel() - ref)
         assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "extents, cells",
+    [
+        ((2.0, 0.7), (40, 17)),
+        ((1.0, 0.3), (12, 1)),
+        ((1.0, 2.0, 3.0), (5, 6, 7)),
+        ((1.5, 0.4, 1.0), (24, 9, 13)),
+    ],
+)
+def test_sine_apply_matches_scipy_fft(extents, cells):
+    # the transform matrices against scipy.fft's orthonormal DST-I/DST-II,
+    # for the apply of A and the Helmholtz solve alike
+    g = build_grid(len(cells), extents, cells, ("left",))
+    rng = np.random.default_rng(sum(cells))
+    for ax in range(g.dim):
+        lam = flow._sine_eigenvalues(g, ax)
+        x = rng.standard_normal(lam.shape)
+        if x.size == 0:
+            continue
+        kinds = [1 if a == ax else 2 for a in range(g.dim)]
+        for op, diag in ((np.multiply, lam), (np.divide, 1.0 + 0.3 * lam)):
+            coef = x
+            for a, kind in enumerate(kinds):
+                coef = fft.dst(coef, type=kind, axis=a, norm="ortho")
+            ref = op(coef, diag)
+            for a, kind in enumerate(kinds):
+                ref = fft.idst(ref, type=kind, axis=a, norm="ortho")
+            got = flow._sine_apply(x, diag, ax, op)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sine_eigenvalues_built_once_per_grid():
+    g = build_grid(3, (1.0, 2.0, 3.0), (5, 6, 7), ("left",))
+    lam = flow._sine_eigenvalues(g, 1)
+    assert not lam.flags.writeable
+    assert flow._sine_eigenvalues(build_grid(3, (1.0, 2.0, 3.0), (5, 6, 7), ("left",)), 1) is lam
 
 
 def test_predict_unforced_contracts_kinetic_energy(params):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from biofilmflow.constitutive import ModelParams
 from biofilmflow.errors import ConfigError
 from biofilmflow.grid import Grid, build_grid
 from biofilmflow.mollify import (
     build_cutoff,
     build_kernel,
+    mollifier,
     mollify_array,
     smoothstep,
 )
@@ -70,8 +73,7 @@ def test_nonpositive_radius_rejected():
 def test_constant_preserved_in_interior():
     g = build_grid(2, (1.0, 1.0), (32, 32), ("left",))
     radius = 0.1
-    k = build_kernel(radius, g)
-    out = mollify_array(np.full(g.cells, 0.7), k)
+    out = mollify_array(np.full(g.cells, 0.7), mollifier(radius, g))
     # cells farther than the radius from the boundary see the full kernel
     xc, yc = np.meshgrid(g.cell_centers(0), g.cell_centers(1), indexing="ij")
     interior = (
@@ -82,8 +84,7 @@ def test_constant_preserved_in_interior():
 
 def test_zero_extension_loses_mass_at_boundary():
     g = build_grid(2, (1.0, 1.0), (32, 32), ("left",))
-    k = build_kernel(0.1, g)
-    out = mollify_array(np.ones(g.cells), k)
+    out = mollify_array(np.ones(g.cells), mollifier(0.1, g))
     edge = out[0, :]  # cells hugging x=0
     assert (edge > 0).all() and (edge < 1.0 - 1e-6).all()
 
@@ -94,7 +95,7 @@ def test_spike_reproduces_kernel_weights():
     vals = np.zeros(g.cells)
     c = 16
     vals[c, c] = 1.0
-    out = mollify_array(vals, k)
+    out = mollify_array(vals, mollifier(0.1, g))
     half = [(n - 1) // 2 for n in k.shape]
     block = out[c - half[0]: c + half[0] + 1, c - half[1]: c + half[1] + 1]
     assert np.allclose(block, k, atol=1e-15)
@@ -105,7 +106,7 @@ def test_spike_reproduces_kernel_weights():
 def test_monotone_and_bound_preserving(seed, radius):
     g = Grid((1.0, 1.0), (12, 12))
     rng = np.random.default_rng(seed)
-    k = build_kernel(radius, g)
+    k = mollifier(radius, g)
     f = rng.uniform(0.0, 2.0, g.cells)
     gfield = f + rng.uniform(0.0, 1.0, g.cells)
     mf, mg = mollify_array(f, k), mollify_array(gfield, k)
@@ -116,11 +117,58 @@ def test_monotone_and_bound_preserving(seed, radius):
 def test_mollify_linear_in_field():
     g = Grid((1.0, 1.0), (10, 10))
     rng = np.random.default_rng(5)
-    k = build_kernel(0.15, g)
+    k = mollifier(0.15, g)
     a, b = rng.standard_normal(g.cells), rng.standard_normal(g.cells)
     lhs = mollify_array(2.5 * a - 1.25 * b, k)
     rhs = 2.5 * mollify_array(a, k) - 1.25 * mollify_array(b, k)
     assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+_MU, _EPS = ModelParams().mu, ModelParams().eps
+
+
+@pytest.mark.parametrize(
+    "extents, cells, radius",
+    [
+        ((1.0, 1.0), (64, 64), _MU),
+        ((1.0, 1.0), (64, 64), _EPS),
+        ((1.0, 1.0), (64, 64), 0.1),
+        ((1.0, 1.0, 1.0), (24, 24, 24), _EPS),
+        ((1.0, 1.0, 1.0), (24, 24, 24), 0.1),
+        ((1.5, 1.0), (48, 32), _MU),
+        ((1.5, 1.0), (48, 32), _EPS),
+        ((1.0, 0.5), (40, 32), _EPS),
+        ((1.0, 0.6, 0.75), (16, 12, 12), 0.1),
+    ],
+)
+def test_mollify_equals_ndimage_correlate_bit_for_bit(extents, cells, radius):
+    g = Grid(extents, cells)
+    k = build_kernel(radius, g)
+    assert k.size > 1
+    f = np.random.default_rng(len(cells)).uniform(-1.0, 2.0, g.cells)
+    ref = ndimage.correlate(f, k, mode="constant", cval=0.0)
+    assert mollify_array(f, mollifier(radius, g)).tobytes() == ref.tobytes()
+
+
+def test_mollifier_drops_sub_epsilon_taps():
+    # radius 0.1 on 64^2 has rim weights below DBL_EPSILON, which ndimage
+    # skips; a product that kept them would differ in some cells
+    g = Grid((1.0, 1.0), (64, 64))
+    k = build_kernel(0.1, g)
+    kept = np.abs(k) > np.finfo(float).eps
+    assert np.count_nonzero(k) > np.count_nonzero(kept)
+    op = mollifier(0.1, g)
+    assert not op.data.flags.writeable
+    row = np.ravel_multi_index((32, 32), g.cells)
+    assert op.indptr[row + 1] - op.indptr[row] == np.count_nonzero(kept)
+
+
+def test_identity_stencil_returns_a_copy():
+    g = build_grid(2, (1.0, 1.0), (16, 16), ("left",))
+    f = np.random.default_rng(3).standard_normal(g.cells)
+    out = mollify_array(f, mollifier(0.4 * max(g.h), g))
+    assert out is not f and not np.shares_memory(out, f)
+    assert np.array_equal(out, f)
 
 
 # --- boundary cutoff ---------------------------------------------------------

@@ -139,7 +139,7 @@ def test_single_step_diffusion_energy_identity(params):
     dt = 2e-3
     out, _ = step_nutrient(ws, w, u, VectorField.zeros(g), dt)
     wp = out.values
-    u_tilde = np.clip(mollify_array(u.values, ws.kernel_mu), 0.0, p.u_star)
+    u_tilde = np.clip(mollify_array(u.values, ws.mollifier_mu), 0.0, p.u_star)
     face = _face_diffusivity(nutrient_diffusivity(u_tilde, p), g)
     vol = g.cell_volume
     diss = 0.0
@@ -252,7 +252,7 @@ def test_iterative_solve_matches_direct_factorization(params):
     dt = 1e-3
     out, _ = step_nutrient(ws, w, u, v, dt)
 
-    u_tilde = np.clip(mollify_array(u.values, ws.kernel_mu), 0.0, params.u_star)
+    u_tilde = np.clip(mollify_array(u.values, ws.mollifier_mu), 0.0, params.u_star)
     face = _face_diffusivity(nutrient_diffusivity(u_tilde, params), g)
     stiff = scalar_diffusion_matrix(g, face)
     coeff = dt * params.k1 * u_tilde / (params.k2 + np.maximum(w.values, 0.0))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from biofilmflow import operators as ops
 from biofilmflow.grid import Grid, build_grid
@@ -201,3 +202,32 @@ def test_interp_centers_adjoint_is_the_transpose(cells):
     lhs = sum(np.sum(a * b) for a, b in zip(ops.center_average(comps), m))
     rhs = sum(np.sum(c * f) for c, f in zip(comps, ops.interp_centers_adjoint(m)))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+_SCIPY_ORTHO = {
+    "dst1": lambda x: fft.dst(x, type=1, axis=0, norm="ortho"),
+    "dst2": lambda x: fft.dst(x, type=2, axis=0, norm="ortho"),
+    "dct2": lambda x: fft.dct(x, type=2, axis=0, norm="ortho"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCIPY_ORTHO))
+def test_trig_matrices_orthonormal_and_equal_to_scipy_fft(kind):
+    for n in range(1, 71):
+        mat = ops.trig_matrix(n, kind)
+        eye = np.eye(n)
+        assert not mat.flags.writeable
+        assert np.abs(mat @ mat.T - eye).max() <= 1e-14, n
+        assert np.abs(mat - _SCIPY_ORTHO[kind](eye)).max() <= 1e-14, n
+
+
+@pytest.mark.parametrize("cells", [(6, 5), (40, 17), (1, 9), (24, 7, 11), (5, 1, 3)])
+def test_poisson_neumann_matches_scipy_cosine_transform(cells):
+    h = tuple(0.3 + 0.1 * ax for ax in range(len(cells)))
+    rhs = np.random.default_rng(sum(cells)).standard_normal(cells)
+    coef = fft.dctn(rhs, type=2) / ops._neumann_eigenvalues(cells, h)
+    coef.flat[0] = 0.0
+    ref = fft.idctn(coef, type=2)
+    ref -= ref.mean()
+    got = ops.poisson_neumann(rhs, h)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
