@@ -4,7 +4,8 @@ A square biomass patch pinned at the ceiling u* sits in the middle of a
 strongly stirred box. The averaged density pushes the local speed bound
 down to its plateau mu, so the patch behaves like a near-rigid body while
 the surrounding fluid keeps circulating. Prints the core/fluid speed
-split per step and writes a CSV series plus VTK snapshots.
+split and the projection and Newton iterations of every coupling round
+per step, and writes a CSV series plus VTK snapshots.
 
 Usage: python3 scripts/solid_block.py [--steps 20] [--out-dir out/block]
 """
@@ -67,7 +68,8 @@ def main():
         print(
             f"step {k + 1:3d}: core speed {speed[core].max():.4e}"
             f"  fluid max {speed.max():.4f}"
-            f"  projection iters {diag.dykstra_sweeps:5d}  newton {diag.newton_iters}"
+            f"  projection iters per round {diag.round_projection_iters}"
+            f"  newton per round {diag.round_newton_iters}"
             f"  krylov {diag.krylov_iters}"
         )
         if (k + 1) % 5 == 0 or k + 1 == args.steps:

@@ -65,6 +65,9 @@ class BiomassStepReport:
     pre_clamp_min: float
     pre_clamp_max: float
     clamp_mass: float
+    # the converged Newton iterate before the clamp to [0, u_star]; the
+    # next coupling round starts its Newton solve from it
+    iterate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,8 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
 
     u, w: ScalarField; v: VectorField (discretely divergence-free,
     zero boundary faces). Returns (ScalarField, BiomassStepReport).
-    x0 optionally warm-starts Newton (e.g. the previous Picard iterate).
+    x0 optionally warm-starts Newton, e.g. from the previous Picard
+    round's pre-clamp iterate (the report's iterate).
     """
     p = ws.params
     dt = cfg.dt
@@ -231,5 +235,6 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
         pre_clamp_min=pre_min,
         pre_clamp_max=pre_max,
         clamp_mass=clamp_mass,
+        iterate=x,
     )
     return ScalarField(grid, clamped), report

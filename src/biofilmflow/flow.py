@@ -25,8 +25,11 @@ one cell array per velocity component. A projection may start from
 given multipliers and returns its final ones; the coupling loop hands
 each round's multipliers to the next round of the same step and starts
 every step from zero, so a step depends on its start state only. The
-potential of the final affine projection, divided by dt, serves as the
-pressure.
+coupling loop may also ask for a looser stopping tolerance than
+FEAS_TOL/STEP_TOL (its first round does); the report then says whether
+the result met the tight ones anyway, which it does at once where the
+obstacle is inactive. The potential of the final affine projection,
+divided by dt, serves as the pressure.
 """
 
 from __future__ import annotations
@@ -58,14 +61,18 @@ class FlowStepReport:
     """dykstra_sweeps counts the iterations of the projection onto K;
     the name is older than the dual method. A projection started from
     the previous coupling round's multipliers counts only the iterations
-    it needed from there, often one or a few. lam holds the final
-    multipliers, one cell array per component."""
+    it needed from there: one where the obstacle is inactive, up to a
+    few hundred where it binds on a dense block. lam holds the final
+    multipliers, one cell array per component. tight tells whether the
+    projection met FEAS_TOL and STEP_TOL, whatever tolerance it was
+    asked to stop at."""
 
     dykstra_sweeps: int
     max_excess: float
     max_div: float
     pressure_residual: float
     lam: list
+    tight: bool
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,9 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     None it is zero and the first affine projection is of v itself.
     Multipliers returned by a projection of the same v onto a nearby
     obstacle are a good start. Returns (VectorField, pressure
-    ScalarField, info dict); info["sweeps"] counts the iterations and
-    info["lam"] holds the final multipliers. Termination requires the
+    ScalarField, info dict); info["sweeps"] counts the iterations,
+    info["increment"] is the last primal increment and info["lam"]
+    holds the final multipliers. Termination requires the
     speed excess and the divergence to sit under feas_tol *and* the last
     primal increment to be below step_tol; plain feasibility is reached
     early by iterates that are still far from the projection, so it
@@ -322,6 +330,7 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                     "sweeps": it + 1,
                     "max_excess": excess,
                     "max_div": dv,
+                    "increment": inc,
                     "pressure_residual": _affine_residual(phi, y_in, h),
                     "lam": lam_new,
                 }
@@ -417,10 +426,13 @@ def _interior_shape(grid, axis):
     return tuple(shape)
 
 
-def step_flow(ws, v_star, u, lam=None):
+def step_flow(ws, v_star, u, lam=None, tol=None):
     """Project the predictor v_star onto K(r(u)), the biomass iterate's
     speed obstacle, starting the dual iteration from lam (None: zero).
 
+    tol, when given, replaces FEAS_TOL and STEP_TOL as the projection's
+    excess, divergence and increment bound; the report's tight flag
+    still compares the result against FEAS_TOL and STEP_TOL.
     Returns (VectorField, pressure ScalarField, FlowStepReport,
     ObstacleField); the report's lam are the final multipliers, to start
     the next coupling round of the same step from. The pressure collects
@@ -428,8 +440,14 @@ def step_flow(ws, v_star, u, lam=None):
     construction.
     """
     obs = workspace_obstacle(ws, u)
+    feas_tol, step_tol = (FEAS_TOL, STEP_TOL) if tol is None else (tol, tol)
     v_new, pressure, info = project_K(
-        VectorField(ws.grid, tuple(v_star)), obs, ws.dt, lam=lam
+        VectorField(ws.grid, tuple(v_star)),
+        obs,
+        ws.dt,
+        feas_tol=feas_tol,
+        step_tol=step_tol,
+        lam=lam,
     )
     report = FlowStepReport(
         dykstra_sweeps=info["sweeps"],
@@ -437,6 +455,11 @@ def step_flow(ws, v_star, u, lam=None):
         max_div=info["max_div"],
         pressure_residual=info["pressure_residual"],
         lam=info["lam"],
+        tight=(
+            info["max_excess"] <= FEAS_TOL
+            and info["max_div"] <= FEAS_TOL
+            and info["increment"] <= STEP_TOL
+        ),
     )
     return v_new, pressure, report, obs
 

@@ -70,20 +70,17 @@ def _write_cell_scalars(path, name, grid, values, step):
         _vtk_header(fh, f"{name} at step {step}", grid)
         fh.write(f"SCALARS {name} double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for val in values.ravel(order="F"):
-            fh.write(format(float(val), ".17g") + "\n")
+        fh.write("".join(map("{:.17g}\n".format, values.ravel(order="F").tolist())))
 
 
 def _write_cell_vectors(path, name, grid, centered, step):
     ncell = int(np.prod(grid.cells))
-    vec = np.zeros((ncell, 3))
-    for ax in range(grid.dim):
-        vec[:, ax] = centered[ax].ravel(order="F")
+    cols = [c.ravel(order="F").tolist() for c in centered]
+    cols += [[0.0] * ncell] * (3 - grid.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _vtk_header(fh, f"{name} at step {step}", grid)
         fh.write(f"VECTORS {name} double\n")
-        for row in vec:
-            fh.write(" ".join(format(float(x), ".17g") for x in row) + "\n")
+        fh.write("".join(map("{:.17g} {:.17g} {:.17g}\n".format, *cols)))
 
 
 def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):

@@ -527,13 +527,15 @@ seed = {seed}
 
 def test_variational_inequality_residuals():
     # 4 recorded runs x 5 feasible test-field families = 20 trajectories.
-    # Strong forcing makes the obstacle bind in some runs (Dykstra sweeps
-    # in the thousands) while others stay unconstrained; both regimes must
-    # keep RHS - LHS above -1e-6 * scale. The wide mu keeps the averaged
-    # obstacle's per-step drift small enough for the shifted test fields.
+    # Strong forcing makes the obstacle bind in some runs (an accepted
+    # step whose speed excess reaches -1e-6, the saturated threshold of
+    # perfbench) while others stay unconstrained; both regimes must occur,
+    # and both must keep RHS - LHS above -1e-6 * scale. The wide mu keeps
+    # the averaged obstacle's per-step drift small enough for the shifted
+    # test fields.
     worst = 0.0
     count = 0
-    any_binding = False
+    binding = []
     for k in range(4):
         r = np.random.default_rng(8100 + k)
         cfg = parse_config(
@@ -548,7 +550,7 @@ def test_variational_inequality_residuals():
         g = cfg.grid
         mu = cfg.params.mu
         n = len(traj.v_star)
-        any_binding = any_binding or max(d.dykstra_sweeps for d in diags) > 2
+        binding.append(any(d.max_constraint_excess >= -1e-6 for d in diags))
         scale = 1.0 + max(ops.face_l2_sq(list(v.comps), g.cell_volume) for v in traj.v)
 
         def feasible_step(eta, m):
@@ -580,12 +582,13 @@ def test_variational_inequality_residuals():
             res = vi_residual(traj, etas)
             worst = min(worst, res / scale)
             count += 1
-    ok = count == 20 and worst >= -1e-6 and any_binding
+    ok = count == 20 and worst >= -1e-6 and any(binding) and not all(binding)
     _verdict(
         "C11",
         "inequality-residuals",
         ok,
-        f"{count} feasible trajectories, worst scaled residual {worst:+.3e}",
+        f"{count} feasible trajectories, worst scaled residual {worst:+.3e}, "
+        f"{sum(binding)} of {len(binding)} runs binding",
     )
 
 

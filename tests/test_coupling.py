@@ -20,7 +20,7 @@ from biofilmflow.coupling import (
 )
 from biofilmflow.diagnostics import invariant_report
 from biofilmflow.errors import ConfigError, NonConvergenceError
-from biofilmflow.flow import predict_velocity, step_flow, workspace_obstacle
+from biofilmflow.flow import FEAS_TOL, predict_velocity, step_flow, workspace_obstacle
 from biofilmflow.grid import ScalarField, VectorField, build_grid
 from biofilmflow.nutrient import step_nutrient
 from biofilmflow.presets import build_vector
@@ -234,32 +234,10 @@ def test_run_records_trajectory(tmp_path):
     assert len(record.obstacles) == 3
 
 
-@pytest.fixture(scope="module")
-def saturated_block():
-    """C02's 3-step saturated block: (Newton iterations of every biomass
-    call, StepDiagnostics of every step, (lam passed in, FlowStepReport)
-    of every flow call)."""
-    params = ModelParams()
-    iters = []
-    flows = []
-
-    def counted(*args, **kwargs):
-        out = step_biomass(*args, **kwargs)
-        iters.append(out[1].newton_iters)
-        return out
-
-    def flow_counted(*args, **kwargs):
-        out = step_flow(*args, **kwargs)
-        flows.append((kwargs.get("lam"), out[2]))
-        return out
-
+def _block_stepper(params, coupling):
     g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
-    dt = 1e-3
     stepper = make_stepper(
-        g,
-        params,
-        CouplingConfig(dt=dt, t_end=3 * dt),
-        bio_cfg=BiomassStepConfig(dt=dt, newton_max=120),
+        g, params, coupling, bio_cfg=BiomassStepConfig(dt=coupling.dt, newton_max=120)
     )
     u = ScalarField.zeros(g)
     u.values[24:40, 24:40] = params.u_star
@@ -271,13 +249,57 @@ def saturated_block():
         P=ScalarField.zeros(g),
     )
     force = build_vector("swirl amplitude=600 cx=0.5 cy=0.5", g, None)
-    diags = []
+    return stepper, state, force
+
+
+def _spied_step(stepper, state, force):
+    """One picard_step with spies on its inner solves; returns (new state,
+    StepDiagnostics, [(kwargs, FlowStepReport)] per flow call,
+    [(kwargs, (u, BiomassStepReport))] per biomass call)."""
+    flows, bios = [], []
+
+    def flow_spy(*args, **kwargs):
+        out = step_flow(*args, **kwargs)
+        flows.append((kwargs, out[2]))
+        return out
+
+    def bio_spy(*args, **kwargs):
+        out = step_biomass(*args, **kwargs)
+        bios.append((kwargs, out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling_mod, "step_biomass", counted)
-        mp.setattr(coupling_mod, "step_flow", flow_counted)
-        for _ in range(3):
-            state, diag = picard_step(stepper, state, force)
-            diags.append(diag)
+        mp.setattr(coupling_mod, "step_flow", flow_spy)
+        mp.setattr(coupling_mod, "step_biomass", bio_spy)
+        state, diag = picard_step(stepper, state, force)
+    return state, diag, flows, bios
+
+
+@pytest.fixture(scope="module")
+def saturated_steps():
+    """C02's 3-step saturated block: one _spied_step result per step."""
+    stepper, state, force = _block_stepper(
+        ModelParams(), CouplingConfig(dt=1e-3, t_end=3e-3)
+    )
+    steps = []
+    for _ in range(3):
+        steps.append(_spied_step(stepper, state, force))
+        state = steps[-1][0]
+    return steps
+
+
+@pytest.fixture(scope="module")
+def saturated_block(saturated_steps):
+    """The same run as (Newton iterations of every biomass call,
+    StepDiagnostics of every step, (lam passed in, FlowStepReport) of
+    every flow call)."""
+    iters = [out[1].newton_iters for *_, bios in saturated_steps for _, out in bios]
+    diags = [diag for _, diag, _, _ in saturated_steps]
+    flows = [
+        (kwargs.get("lam"), rep)
+        for _, _, step_flows, _ in saturated_steps
+        for kwargs, rep in step_flows
+    ]
     return iters, diags, flows
 
 
@@ -323,3 +345,60 @@ def test_picard_rounds_hand_multipliers_forward(saturated_block):
             prev = rep
         assert prev.dykstra_sweeps == d.dykstra_sweeps
     assert next(rounds, None) is None
+
+
+def test_first_round_projection_is_loose(saturated_block, saturated_steps):
+    # the first round's residual is the whole change over the step, so its
+    # projection stops at FIRST_ROUND_TOL; every later round is solved to
+    # the tight tolerances
+    iters, diags, flows = saturated_block
+    assert [d.picard_iters for d in diags] == [3, 4, 4]
+    assert all(d.round_projection_iters[0] <= 30 for d in diags), diags
+    # the per-round record matches what the inner solves returned
+    assert sum((d.round_projection_iters for d in diags), []) == [
+        rep.dykstra_sweeps for _, rep in flows
+    ]
+    assert sum((d.round_newton_iters for d in diags), []) == iters
+    for _, diag, step_flows, _ in saturated_steps:
+        later = diag.picard_iters - 1
+        tols = [kwargs["tol"] for kwargs, _ in step_flows]
+        assert tols == [coupling_mod.FIRST_ROUND_TOL] + [None] * later
+        # the loose first projection stops short of the tight tolerances
+        assert [rep.tight for _, rep in step_flows] == [False] + [True] * later
+
+
+def test_picard_rounds_hand_pre_clamp_iterate_forward(saturated_steps):
+    # each round's Newton solve starts from the previous round's iterate
+    # as it was before the clamp to [0, u*]; the first from the old biomass
+    clamped_away = False
+    for *_, bios in saturated_steps:
+        assert len(bios) > 1
+        assert bios[0][0]["x0"] is None
+        for (kwargs, _), (_, (u_prev, rep_prev)) in zip(bios[1:], bios):
+            assert kwargs["x0"] is rep_prev.iterate
+            clamped_away |= not np.array_equal(rep_prev.iterate, u_prev.values)
+    # the clamp acts here, so the pre-clamp iterate is not the clamped field
+    assert clamped_away
+
+
+def test_loose_round_is_never_accepted(params):
+    # with picard_tol = 1e3 every round passes the Picard test; the
+    # saturated block's loose first round must still be followed by a
+    # tight one, which is accepted
+    coupling = CouplingConfig(dt=1e-3, t_end=1e-3, picard_tol=1e3)
+    _, diag, flows, _ = _spied_step(*_block_stepper(params, coupling))
+    assert diag.picard_iters == 2
+    assert [rep.tight for _, rep in flows] == [False, True]
+    assert diag.max_constraint_excess <= FEAS_TOL
+    assert diag.max_div <= FEAS_TOL
+
+    # an inactive obstacle meets the tight tolerances in the loose round's
+    # first iteration, so that round is accepted
+    g, u, w, v = _state_fields(params)
+    stepper = make_stepper(g, params, coupling)
+    gforce = stream_field_2d(g, np.random.default_rng(2), amplitude=2.0)
+    state = SimState(t=0.0, u=u, w=w, v=v, P=ScalarField.zeros(g))
+    _, diag, flows, _ = _spied_step(stepper, state, gforce)
+    assert diag.picard_iters == 1
+    assert flows[0][0]["tol"] == coupling_mod.FIRST_ROUND_TOL
+    assert flows[0][1].tight and flows[0][1].dykstra_sweeps == 1

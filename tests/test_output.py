@@ -13,7 +13,7 @@ import pytest
 
 from biofilmflow.diagnostics import CSV_COLUMNS, StepDiagnostics
 from biofilmflow.grid import ScalarField, VectorField, build_grid
-from biofilmflow.output import SeriesWriter, write_snapshot
+from biofilmflow.output import SeriesWriter, _write_cell_vectors, write_snapshot
 
 
 def _fake_diag(step=3, **overrides):
@@ -174,3 +174,46 @@ def test_vtk_unknown_field_rejected(tmp_path):
     grid, state = _grid_and_state()
     with pytest.raises(ValueError, match="unknown snapshot field"):
         write_snapshot(state, grid, tmp_path, 0, ("vorticity",))
+
+
+# values whose 17-digit text is easy to get wrong: signed zero, tiny and
+# huge magnitudes, a subnormal
+_AWKWARD = [-0.0, 1e-300, 5e-324, 2.5e-310, 1e300, -1e300, 1.0 / 3.0, -math.pi]
+
+
+def _awkward_field(shape, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(int(np.prod(shape)))
+    vals[: len(_AWKWARD)] = _AWKWARD
+    return rng.permutation(vals).reshape(shape)
+
+
+def _per_value_body(rows):
+    """The writer's former output: one format(float(x), ".17g") per value."""
+    return "".join(" ".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+
+
+def _body(path, header_lines):
+    return "".join(path.read_text().splitlines(keepends=True)[header_lines:])
+
+
+@pytest.mark.parametrize(
+    "dim,cells", [(2, (5, 3)), (3, (3, 4, 2))], ids=["2d-nonsquare", "3d"]
+)
+def test_vtk_body_matches_per_value_formatting(tmp_path, dim, cells):
+    grid = build_grid(dim, (1.0,) * dim, cells, ("left",))
+    u = _awkward_field(grid.cells, seed=dim)
+    state = SimpleNamespace(u=ScalarField(grid, u))
+    write_snapshot(state, grid, tmp_path, 1, ("u",))
+    # header (8 lines) plus SCALARS and LOOKUP_TABLE; cells in Fortran order
+    expect = _per_value_body([[x] for x in u.ravel(order="F")])
+    assert _body(tmp_path / "u_000001.vtk", 10) == expect
+
+    centered = [_awkward_field(grid.cells, seed=10 + ax) for ax in range(dim)]
+    path = tmp_path / "velocity.vtk"
+    _write_cell_vectors(path, "velocity", grid, centered, 1)
+    cols = [c.ravel(order="F") for c in centered]
+    cols += [np.zeros(u.size)] * (3 - dim)
+    expect = _per_value_body(zip(*cols))
+    # header (8 lines) plus VECTORS
+    assert _body(path, 9) == expect
