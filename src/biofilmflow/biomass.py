@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators as ops
 from .constitutive import (
@@ -78,21 +77,25 @@ class BiomassWorkspace:
     params: object
     mollifier_mu: object
     cutoff: np.ndarray
-    stiffness: sp.csr_matrix  # acts on the transformed variable beta(u)
-    stiffness_diag: np.ndarray
+    stiffness: ops.Stencil  # acts on the transformed variable beta(u)
+    stiffness_diag: np.ndarray  # flat
     stiffness_norm: float  # sup-norm: the largest absolute row sum
 
 
 def make_biomass_workspace(grid, params):
     stiffness = ops.scalar_laplacian_gamma0(grid)
+    # the off-diagonals are nonpositive and couple cells of opposite parity,
+    # so on a +-1 checkerboard each row's products are its absolute values
+    # times the cell's sign, summed in row order
+    checker = 1.0 - 2.0 * (np.indices(grid.cells).sum(axis=0) % 2)
     return BiomassWorkspace(
         grid=grid,
         params=params,
         mollifier_mu=mollifier(params.mu, grid),
         cutoff=build_cutoff(grid, params.mu),
         stiffness=stiffness,
-        stiffness_diag=stiffness.diagonal(),
-        stiffness_norm=float(abs(stiffness).sum(axis=1).max()),
+        stiffness_diag=dict(stiffness.taps)[(0,) * grid.dim].ravel(),
+        stiffness_norm=float(np.abs(stiffness(checker)).max()),
     )
 
 
@@ -106,7 +109,7 @@ def _residual(x, u_old, growth, v, ws, dt):
     beta = biomass_diffusion_reg(x, p)
     conv_field = mollify_array(ws.cutoff * x, ws.mollifier_mu)
     conv = ops.upwind_flux_divergence(conv_field, v, ws.grid.h)
-    diff = (ws.stiffness @ beta.ravel()).reshape(ws.grid.cells)
+    diff = ws.stiffness(beta)
     return (x - u_old) / dt + diff + conv + (p.b - growth) * x
 
 
@@ -130,7 +133,7 @@ def _newton_direction(ws, g, s, c, eta):
     root = np.sqrt(s)
     rhs = -root * g
     y = rhs / c
-    r = rhs - (c * y + root * (stiff @ (root * y)))
+    r = rhs - (c * y + root * stiff(root * y))
     weight = ws.stiffness_norm * root / np.abs(c)
     target = eta * float(np.abs(g).max())
     diag = c + s * ws.stiffness_diag
@@ -139,7 +142,7 @@ def _newton_direction(ws, g, s, c, eta):
     rz = float(r @ z)
     its = 0
     while its < g.size and float(np.abs(weight * r).max()) > target:
-        md = c * d + root * (stiff @ (root * d))
+        md = c * d + root * stiff(root * d)
         dmd = float(d @ md)
         if not (dmd > 0.0 and rz > 0.0):
             break
@@ -151,7 +154,7 @@ def _newton_direction(ws, g, s, c, eta):
         d = z + (rz_new / rz) * d
         rz = rz_new
         its += 1
-    return (-g - stiff @ (root * y)) / c, its
+    return (-g - stiff(root * y)) / c, its
 
 
 def step_biomass(ws, u, w, v, cfg, x0=None):

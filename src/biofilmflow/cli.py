@@ -14,16 +14,16 @@ import sys
 def _apply_threads(n):
     """Ask the numerical thread pools to use `n` threads.
 
-    By the time this runs numpy and scipy are imported, and BLAS/OpenMP
-    have already sized their pools from the environment. The cap takes
+    By the time this runs numpy is imported, and BLAS/OpenMP have
+    already sized their pools from the environment. The cap takes
     effect in this process only through `threadpoolctl`, when it is
     installed; otherwise the variables set here reach only processes
     started later. To fix the thread counts of a run, set
     `OMP_NUM_THREADS`/`OPENBLAS_NUM_THREADS` before launching it.
 
-    Every kernel in the solver is sequential by construction (the
-    factorizations and transforms run single-threaded), so results do
-    not depend on the thread counts either way.
+    The stencils run in numpy alone; the transforms and dot products go
+    through BLAS, which may split them across threads on 3D and larger
+    2D grids and so move the last bits of a result (see README).
     """
     for var in (
         "OMP_NUM_THREADS",

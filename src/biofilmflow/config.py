@@ -12,6 +12,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .constitutive import ModelParams, validate_params
 from .errors import ConfigError
@@ -305,16 +306,16 @@ def num_steps(cfg):
 def initial_state(cfg):
     """Materialize and validate the starting fields.
 
-    Returns a dict with u, w, v, P and the forcing g. The RNG consumed
-    by random presets is seeded from the config, so identical configs
-    produce identical fields.
+    Returns a dict with u, w, v, P and the forcing g. The random presets
+    draw in turn from one generator seeded from the config, so identical
+    configs produce identical fields; it is built only when one draws.
     """
     import numpy as np
 
     from .coupling import check_initial_data
 
     grid = cfg.grid
-    rng = np.random.default_rng(cfg.initial.seed)
+    rng = cache(lambda: np.random.default_rng(cfg.initial.seed))
     u0 = build_scalar(cfg.initial.u, grid, rng, 0.0, cfg.params.u_star, "biomass")
     w0 = build_scalar(cfg.initial.w, grid, rng, 0.0, 1.0, "nutrient")
     v0 = build_vector(cfg.initial.v, grid, rng, "velocity")

@@ -259,6 +259,19 @@ def _energy_table(u_star, kappa, alpha, gamma, lam):
     return y, cum, float(cum[-1]), biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
 
 
+def _table_index(y_grid, y):
+    """``clip(searchsorted(y_grid, y) - 1, 0, n - 1)`` for the uniform
+    table y_grid of n + 1 nodes from 0: the node below y, found by
+    rounding y down onto the table and correcting the guess by at most
+    one node each way, so that y_grid[idx] < y <= y_grid[idx + 1]. fmax
+    and fmin send a NaN to a valid node before the cast."""
+    n = len(y_grid) - 1
+    idx = np.fmin(np.fmax(y * (n / y_grid[-1]), 0.0), n - 1).astype(np.intp)
+    idx -= y <= y_grid[idx]
+    idx += y > y_grid[idx + 1]
+    return np.clip(idx, 0, n - 1)
+
+
 def diffusion_energy(r, p):
     """Primitive of the (regularized) diffusion slope, zero at zero.
 
@@ -276,7 +289,7 @@ def diffusion_energy(r, p):
     y = np.log(p.u_star / (p.u_star - rc))
     # bracketing node plus a short trapezoid panel to the query point;
     # the panel is ~1e-5 wide so its error is far below the table's
-    idx = np.clip(np.searchsorted(y_grid, y) - 1, 0, len(y_grid) - 2)
+    idx = _table_index(y_grid, y)
     y0 = y_grid[idx]
     r0 = p.u_star * (-np.expm1(-y0))
     f0 = p.kappa * r0**p.alpha_exp * (p.u_star - r0) ** (1.0 - p.gamma_exp)

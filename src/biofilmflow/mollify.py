@@ -6,11 +6,11 @@ the *discrete* weights sum to exactly 1; the continuous normalizer would
 not give that, and constant preservation away from the boundary is the
 property everything else leans on. A single-entry stencil is the
 identity. Fields are extended by zero outside the box before convolving,
-so cells near the boundary lose mass by design. The convolution is a
-sparse matrix built once per (radius, grid) and shared by every solver;
-its rows sum the taps in the order scipy.ndimage.correlate does, so the
-result equals ndimage's bit for bit. The boundary cutoff is a plain cell
-array too.
+so cells near the boundary lose mass by design. The convolution is an
+``operators.Stencil`` built once per (radius, grid) and shared by every
+solver; each cell sums the taps in the order scipy.ndimage.correlate
+does, so the result equals ndimage's bit for bit. The boundary cutoff is
+a plain cell array too.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
+from .operators import Stencil
 
 
 def build_kernel(radius, grid):
@@ -58,54 +58,29 @@ def build_kernel(radius, grid):
 
 @lru_cache(maxsize=16)
 def mollifier(radius, grid):
-    """``correlation_matrix`` of ``build_kernel(radius, grid)``, built once
-    per (radius, grid) and shared by the solvers, so its arrays are
-    read-only."""
-    op = correlation_matrix(build_kernel(radius, grid), grid.cells)
-    for a in (op.data, op.indices, op.indptr):
-        a.setflags(write=False)
-    return op
+    """``correlation_stencil`` of ``build_kernel(radius, grid)``, built
+    once per (radius, grid) and shared by the solvers."""
+    return correlation_stencil(build_kernel(radius, grid), grid.cells)
 
 
-def correlation_matrix(w, cells):
-    """Zero-extended correlation of C-order cell vectors with the stencil
-    w (odd extent per axis) as a CSR matrix.
+def correlation_stencil(w, cells):
+    """Zero-extended correlation of cell arrays with the stencil w (odd
+    extent per axis) as a ``Stencil``.
 
     For the symmetric mollifier kernels correlation and convolution
-    agree. Row i holds the taps that land inside the box, in kernel C
-    order, so each row sum runs in scipy.ndimage.correlate's order; like
-    ndimage it drops taps with |w| <= DBL_EPSILON, which keeps the
-    product bit for bit equal to ndimage's mode="constant".
+    agree. The taps run in kernel C order, scipy.ndimage.correlate's
+    order, and like ndimage it drops taps with |w| <= DBL_EPSILON, which
+    keeps the result bit for bit equal to ndimage's mode="constant".
     """
     taps = np.argwhere(np.abs(w) > np.finfo(float).eps)  # C order
     offsets = taps - (np.array(w.shape) - 1) // 2
-    n_cells, n_taps = math.prod(cells), len(taps)
-    # every (cell, tap) pair, its validity broadcast from one mask per axis
-    inside = True
-    for ax, n in enumerate(cells):
-        pos = np.arange(n)[:, None] + offsets[:, ax]
-        shape = [1] * len(cells) + [n_taps]
-        shape[ax] = n
-        inside = inside & ((pos >= 0) & (pos < n)).reshape(shape)
-    data = np.where(inside, w[tuple(taps.T)], 0.0).reshape(-1)
-    # flat column = row + tap offset; a tap outside the box gets a column
-    # in range and weight 0, and every kept tap a nonzero weight, so
-    # dropping the zeros leaves exactly the taps inside, in order
-    strides = np.cumprod((1,) + cells[:0:-1])[::-1]
-    shift = (offsets @ strides).astype(np.int32)
-    cols = np.arange(n_cells, dtype=np.int32)[:, None] + shift
-    np.clip(cols, 0, n_cells - 1, out=cols)
-    indptr = np.arange(0, n_cells * n_taps + 1, n_taps, dtype=np.int32)
-    op = sp.csr_matrix((data, cols.reshape(-1), indptr), shape=(n_cells, n_cells))
-    op.eliminate_zeros()
-    return op
+    return Stencil(cells, zip(offsets, w[tuple(taps.T)].tolist()))
 
 
 def mollify_array(values, smoother):
     """Zero-extended discrete convolution of a cell array by a ``mollifier``
-    operator, as a new array; preserves the [min(0, min f), max f] range."""
-    values = np.asarray(values, dtype=float)
-    return (smoother @ values.ravel()).reshape(values.shape)
+    stencil, as a new array; preserves the [min(0, min f), max f] range."""
+    return smoother(values)
 
 
 def smoothstep(t):

@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import edge_axis_side
 
@@ -286,43 +285,57 @@ def centered_flux_divergence(c, v, h):
 
 
 # ---------------------------------------------------------------------------
-# 1D stencil factories and separable assembly
+# Fixed-tap stencils
 # ---------------------------------------------------------------------------
 
-def laplace_1d(n, h, lo, hi):
-    """1D negative Laplacian (CSR) on n cells with given end conditions.
+class Stencil:
+    """Zero-extended correlation of a cell array with fixed taps.
 
-    lo/hi each one of:
-      "neumann"        no flux through the end face (end coefficient 1)
-      "dirichlet_face" zero value on the end face itself, half-spacing
-                       one-sided flux (end coefficient 3)
+    ``taps`` pairs an integer offset per axis with a weight, a float or a
+    read-only cell array; the result is sum over taps of weight * x[i +
+    offset], with x zero outside the box. Every cell sums its taps in the
+    given order, starting from the first product, so with the taps in a CSR
+    row's order the result equals that CSR product bit for bit; the final
+    ``+ 0.0`` turns a -0.0 sum into the +0.0 that a row sum from 0 gives.
+    The field is copied into a zero-padded buffer in which each tap is one
+    contiguous slice. The buffers are reused across calls, so one Stencil
+    must not be applied concurrently.
     """
-    if n == 1:
-        coeff = {"neumann": 0.0, "dirichlet_face": 2.0}
-        return sp.csr_matrix(([coeff[lo] + coeff[hi]], ([0], [0])), shape=(1, 1)) / h**2
-    main = np.full(n, 2.0)
-    for idx, bc in ((0, lo), (n - 1, hi)):
-        if bc == "neumann":
-            main[idx] = 1.0
-        elif bc == "dirichlet_face":
-            main[idx] = 3.0
-        else:
-            raise ValueError(f"unknown end condition {bc!r}")
-    off = np.full(n - 1, -1.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
 
+    def __init__(self, cells, taps):
+        self.cells = tuple(cells)
+        self.taps = tuple((tuple(int(o) for o in off), w) for off, w in taps)
+        halo = np.abs([off for off, _ in self.taps]).max(axis=0)
+        self._buf = np.zeros([n + 2 * r for n, r in zip(self.cells, halo)])
+        self._inner = tuple(slice(r, r + n) for r, n in zip(halo, self.cells))
+        # C strides of the padded buffer, in elements
+        strides = np.cumprod((1,) + self._buf.shape[:0:-1])[::-1]
+        lo = int(halo @ strides)
+        hi = lo + int((np.array(self.cells) - 1) @ strides) + 1
+        self._acc = np.zeros(self._buf.size)
+        self._window = self._acc[lo:hi]
+        self._tmp = np.empty(hi - lo)
+        flat = self._buf.reshape(-1)
+        self._plan = []
+        for off, w in self.taps:
+            if np.ndim(w):
+                padded = np.zeros(self._buf.shape)
+                padded[self._inner] = w
+                w = padded.reshape(-1)[lo:hi]
+            shift = int(np.dot(off, strides))
+            self._plan.append((flat[lo + shift:hi + shift], w))
 
-def kron_sum(ops):
-    """sum_i I x ... x ops[i] x ... x I for a list of square operators."""
-    sizes = [op.shape[0] for op in ops]
-    total = None
-    for i, op in enumerate(ops):
-        term = sp.identity(1, format="csr")
-        for j, n in enumerate(sizes):
-            factor = op if j == i else sp.identity(n, format="csr")
-            term = sp.kron(term, factor, format="csr")
-        total = term if total is None else total + term
-    return total
+    def __call__(self, x):
+        """The stencil applied to x (cell-shaped or flat), as a new array
+        of x's shape."""
+        self._buf[self._inner] = np.reshape(x, self.cells)
+        (view, w), *rest = self._plan
+        np.multiply(view, w, out=self._window)
+        for view, w in rest:
+            np.multiply(view, w, out=self._tmp)
+            self._window += self._tmp
+        out = self._acc.reshape(self._buf.shape)[self._inner] + 0.0
+        return out.reshape(np.shape(x))
 
 
 @lru_cache(maxsize=32)
@@ -331,21 +344,30 @@ def scalar_laplacian_gamma0(grid):
 
     Applied to the diffusion variable (the transformed biomass), so
     Dirichlet means the transformed value vanishes on the gamma0 faces.
+    Per axis a cell couples to each neighbor in the box by -1/h^2, and
+    its diagonal gets 1/h^2 per neighbor plus 2/h^2 per gamma0 face, the
+    one-sided half-spacing flux. The taps run in increasing flat column
+    order and each coefficient is scaled by 1/h^2 as a product, which is
+    how the assembled CSR matrix rounds, so products agree bit for bit.
     """
-    ops = []
-    for ax in range(grid.dim):
-        lo = "neumann"
-        hi = "neumann"
+    nd = grid.dim
+    diag = 0.0
+    lower, upper = [], []
+    for ax, (n, h) in enumerate(zip(grid.cells, grid.h)):
+        main = np.full(n, 2.0)
+        main[0] -= 1.0
+        main[-1] -= 1.0
         for name in grid.gamma0_edges:
-            eax, side = edge_axis_side(name, grid.dim)
-            if eax != ax:
-                continue
-            if side == 0:
-                lo = "dirichlet_face"
-            else:
-                hi = "dirichlet_face"
-        ops.append(laplace_1d(grid.cells[ax], grid.h[ax], lo, hi))
-    return kron_sum(ops)
+            eax, side = edge_axis_side(name, nd)
+            if eax == ax:
+                main[-side] += 2.0
+        inv = 1.0 / h**2
+        diag = diag + (main * inv).reshape([n if a == ax else 1 for a in range(nd)])
+        unit = np.eye(nd, dtype=int)[ax]
+        lower.append((-unit, -inv))
+        upper.insert(0, (unit, -inv))
+    diag.setflags(write=False)
+    return Stencil(grid.cells, lower + [((0,) * nd, diag)] + upper)
 
 
 def interior_faces(comp, axis):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ScalarField, VectorField
-from .mollify import build_kernel, correlation_matrix, mollify_array
+from .mollify import build_kernel, correlation_stencil, mollify_array
 
 
 def _parse_tokens(spec, what):
@@ -81,7 +81,10 @@ def _centers(grid, kv, prefix="c"):
 
 
 def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
-    """Materialize a scalar preset; values verified to lie in [lo, hi]."""
+    """Materialize a scalar preset; values verified to lie in [lo, hi].
+
+    rng: a callable returning the generator that random presets draw from.
+    """
     name, kv = _parse_tokens(spec, what)
     if name == "uniform":
         value = _take(kv, "value", 0.0)
@@ -114,8 +117,8 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
         floor = _take(kv, "floor", 0.0)
         corr = _take(kv, "corr", 4.0 * max(grid.h))
         _reject_leftovers(kv, name, what)
-        noise = rng.standard_normal(grid.cells)
-        smooth = mollify_array(noise, correlation_matrix(build_kernel(corr, grid), grid.cells))
+        noise = rng().standard_normal(grid.cells)
+        smooth = mollify_array(noise, correlation_stencil(build_kernel(corr, grid), grid.cells))
         span = smooth.max() - smooth.min()
         if span > 0:
             smooth = (smooth - smooth.min()) / span

@@ -15,9 +15,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, minimize
 
-from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, biomass_diffusion_reg_deriv
-from biofilmflow.grid import Grid, VectorField, build_grid
+from biofilmflow.grid import Grid, VectorField, build_grid, edge_axis_side
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +94,58 @@ def potential_field_3d(grid, rng, amplitude=1.0):
 
 
 # ---------------------------------------------------------------------------
-# assembled viscous operator (oracle for the sine-transform apply and solve)
+# assembled CSR operators (oracles for the stencils and the transforms)
 # ---------------------------------------------------------------------------
+
+def laplace_1d(n, h, lo, hi):
+    """1D negative Laplacian (CSR) on n cells with given end conditions.
+
+    lo/hi each one of:
+      "neumann"        no flux through the end face (end coefficient 1)
+      "dirichlet_face" zero value on the end face itself, half-spacing
+                       one-sided flux (end coefficient 3)
+    """
+    if n == 1:
+        coeff = {"neumann": 0.0, "dirichlet_face": 2.0}
+        return sp.csr_matrix(([coeff[lo] + coeff[hi]], ([0], [0])), shape=(1, 1)) / h**2
+    main = np.full(n, 2.0)
+    for idx, bc in ((0, lo), (n - 1, hi)):
+        if bc == "neumann":
+            main[idx] = 1.0
+        elif bc == "dirichlet_face":
+            main[idx] = 3.0
+        else:
+            raise ValueError(f"unknown end condition {bc!r}")
+    off = np.full(n - 1, -1.0)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+
+
+def kron_sum(ops):
+    """sum_i I x ... x ops[i] x ... x I for a list of square operators."""
+    sizes = [op.shape[0] for op in ops]
+    total = None
+    for i, op in enumerate(ops):
+        term = sp.identity(1, format="csr")
+        for j, n in enumerate(sizes):
+            factor = op if j == i else sp.identity(n, format="csr")
+            term = sp.kron(term, factor, format="csr")
+        total = term if total is None else total + term
+    return total
+
+
+def scalar_laplacian_csr(grid):
+    """Assembled scalar stiffness with Dirichlet faces on gamma0 edges
+    (oracle for ``operators.scalar_laplacian_gamma0``)."""
+    ops_1d = []
+    for ax in range(grid.dim):
+        ends = ["neumann", "neumann"]
+        for name in grid.gamma0_edges:
+            eax, side = edge_axis_side(name, grid.dim)
+            if eax == ax:
+                ends[side] = "dirichlet_face"
+        ops_1d.append(laplace_1d(grid.cells[ax], grid.h[ax], *ends))
+    return kron_sum(ops_1d)
+
 
 def laplace_1d_nodes(n_cells, h):
     """1D negative Laplacian on the n_cells-1 interior face nodes.
@@ -125,9 +174,9 @@ def component_laplacian(grid, axis):
             blocks.append(laplace_1d_nodes(grid.cells[ax], grid.h[ax]))
         else:
             blocks.append(
-                ops.laplace_1d(grid.cells[ax], grid.h[ax], "dirichlet_face", "dirichlet_face")
+                laplace_1d(grid.cells[ax], grid.h[ax], "dirichlet_face", "dirichlet_face")
             )
-    return ops.kron_sum(blocks)
+    return kron_sum(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +196,7 @@ def biomass_jacobian(x, growth, ws, dt):
     return (
         sp.identity(x.size, format="csr") / dt
         + sp.diags((ws.params.b - growth).ravel())
-        + ws.stiffness @ sp.diags(slope)
+        + scalar_laplacian_csr(ws.grid) @ sp.diags(slope)
     )
 
 

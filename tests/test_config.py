@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from biofilmflow.config import (
     initial_state,
@@ -13,6 +14,7 @@ from biofilmflow.config import (
 )
 from biofilmflow.constitutive import ModelParams
 from biofilmflow.errors import ConfigError
+from biofilmflow.mollify import build_kernel
 
 FULL_TEXT = """
 [grid]
@@ -205,6 +207,29 @@ def test_initial_state_is_seed_deterministic():
     assert not np.array_equal(s1["u"].values, s3["u"].values)
     assert np.all(s1["P"].values == 0.0)
     assert all(np.all(c == 0.0) for c in s1["v"].comps)
+
+
+def _random_smooth_oracle(noise, grid, amp, floor, corr):
+    smooth = ndimage.correlate(noise, build_kernel(corr, grid), mode="constant", cval=0.0)
+    return floor + amp * ((smooth - smooth.min()) / (smooth.max() - smooth.min()))
+
+
+def test_random_smooth_fields_share_one_generator_in_order():
+    # u draws first and w second from the seeded generator; each field is
+    # the ndimage correlation of its noise, bit for bit, also for a
+    # correlation length half the box
+    cfg = parse_config(
+        "[grid]\ncells = 64 64\n\n[initial]\n"
+        "u = random-smooth amplitude=0.3 floor=0.02 corr=0.5\n"
+        "w = random-smooth amplitude=0.5 floor=0.45\nseed = 7\n"
+    )
+    state = initial_state(cfg)
+    rng = np.random.default_rng(7)
+    noise_u, noise_w = rng.standard_normal(cfg.grid.cells), rng.standard_normal(cfg.grid.cells)
+    u = _random_smooth_oracle(noise_u, cfg.grid, 0.3, 0.02, 0.5)
+    w = _random_smooth_oracle(noise_w, cfg.grid, 0.5, 0.45, 4.0 * max(cfg.grid.h))
+    assert state["u"].values.tobytes() == u.tobytes()
+    assert state["w"].values.tobytes() == w.tobytes()
 
 
 def test_initial_state_rejects_out_of_range_presets():

@@ -200,6 +200,43 @@ def test_energy_table_equals_scipy_cumulative_simpson(u_star, kappa, alpha, gamm
     assert np.array_equal(cum, cumulative_simpson(integrand, x=y, initial=0.0))
 
 
+def _searchsorted_index(y_grid, y):
+    return np.clip(np.searchsorted(y_grid, y) - 1, 0, len(y_grid) - 2)
+
+
+def test_table_index_equals_searchsorted():
+    p = ModelParams()
+    y_grid = constitutive._energy_table(
+        p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda
+    )[0]
+    for y in (
+        y_grid,
+        np.nextafter(y_grid, np.inf),
+        np.nextafter(y_grid, -np.inf),
+        np.array([0.0, y_grid[-1]]),
+        np.random.default_rng(0).uniform(0.0, y_grid[-1], 10**6),
+    ):
+        assert np.array_equal(constitutive._table_index(y_grid, y), _searchsorted_index(y_grid, y))
+    # a small table whose rounded guess falls one node low above a node
+    y_grid = np.linspace(0.0, 81.04640777541927, 44)
+    for y in (y_grid, np.nextafter(y_grid, np.inf), np.array([50.88960488224001])):
+        assert np.array_equal(constitutive._table_index(y_grid, y), _searchsorted_index(y_grid, y))
+
+
+def test_diffusion_energy_unchanged_by_the_table_index(monkeypatch):
+    p = ModelParams()
+    rng = np.random.default_rng(4)
+    fields = [
+        rng.uniform(-0.05, p.u_star, (64, 64)),
+        rng.uniform(-0.05, p.u_star, (24, 24, 24)),
+        np.linspace(-1.0, 2.0, 100001),
+    ]
+    fast = [diffusion_energy(r, p) for r in fields]
+    monkeypatch.setattr(constitutive, "_table_index", _searchsorted_index)
+    for r, out in zip(fields, fast):
+        assert np.array_equal(out, diffusion_energy(r, p))
+
+
 def test_package_import_leaves_scipy_integrate_out():
     # run against the copy of the package this module imported
     src = str(Path(constitutive.__file__).resolve().parents[1])

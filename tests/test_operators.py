@@ -5,9 +5,17 @@ import pytest
 from scipy import fft
 
 from biofilmflow import operators as ops
+from biofilmflow.biomass import make_biomass_workspace
+from biofilmflow.constitutive import ModelParams
 from biofilmflow.grid import Grid, build_grid
+from biofilmflow.mollify import mollifier
 
-from conftest import component_laplacian, stream_field_2d, potential_field_3d
+from conftest import (
+    component_laplacian,
+    potential_field_3d,
+    scalar_laplacian_csr,
+    stream_field_2d,
+)
 
 
 def _rand_faces(grid, rng):
@@ -114,13 +122,71 @@ def test_component_laplacian_symmetric_positive():
 
 def test_scalar_laplacian_gamma0_dirichlet_row():
     g = build_grid(2, (1.0, 1.0), (4, 4), ("left",))
-    A = ops.scalar_laplacian_gamma0(g).toarray()
+    S = ops.scalar_laplacian_gamma0(g)
+    A = np.column_stack([S(e) for e in np.eye(16)])
     assert np.allclose(A, A.T)
     # constant field: only the gamma0-adjacent cells feel the pinned face
-    c = np.ones(16)
-    r = (A @ c).reshape(4, 4)
+    r = S(np.ones(g.cells))
     assert np.abs(r[1:, :]).max() < 1e-14
     assert (r[0, :] > 0).all()
+
+
+# extents where some coefficient / h^2 and coefficient * (1 / h^2) differ
+# in the last bit, so a diagonal scaled the other way fails
+_STIFFNESS_GRIDS = [
+    ((1.0, 0.6), (64, 64)),
+    ((0.7, 1.0), (17, 9)),
+    ((0.7, 1.0), (12, 1)),
+    ((1.0, 0.3), (1, 5)),
+    ((1.0, 0.8, 0.9), (5, 6, 7)),
+    ((1.0, 1.0, 1.0), (24, 24, 24)),
+    ((1.0, 0.4, 0.6), (4, 1, 3)),
+]
+_GAMMA0_SETS = [("left",), ("left", "top"), ("right", "bottom")]
+
+
+@pytest.mark.parametrize("gamma0", _GAMMA0_SETS)
+@pytest.mark.parametrize("extents, cells", _STIFFNESS_GRIDS)
+def test_stiffness_stencil_equals_csr_bit_for_bit(extents, cells, gamma0):
+    # the stencil sums each cell's taps in the CSR row's column order, from
+    # coefficients scaled by 1/h^2 as scipy scales them, so the products,
+    # the diagonal and the sup-norm of the workspace agree exactly
+    g = Grid(extents, cells, frozenset(gamma0))
+    ref = scalar_laplacian_csr(g)
+    S = ops.scalar_laplacian_gamma0(g)
+    x = np.random.default_rng(sum(cells)).uniform(-1.0, 2.0, g.cells)
+    assert np.array_equal(S(x), (ref @ x.ravel()).reshape(g.cells))
+    assert np.array_equal(S(x.ravel()), ref @ x.ravel())
+    ws = make_biomass_workspace(g, ModelParams())
+    assert np.array_equal(ws.stiffness_diag, ref.diagonal())
+    assert ws.stiffness_norm == float(abs(ref).sum(axis=1).max())
+
+
+def test_stencil_zero_sums_are_positive_zero():
+    # a CSR row sum starts from +0.0, so a row of -0.0 products gives +0.0;
+    # zeros signed as a checkerboard make every stiffness product -0.0
+    g = Grid((0.7, 1.0), (17, 9), frozenset(("left", "top")))
+    S = ops.scalar_laplacian_gamma0(g)
+    checker = np.where(np.indices(g.cells).sum(axis=0) % 2, 0.0, -0.0)
+    for x in (np.zeros(g.cells), np.full(g.cells, -0.0), checker):
+        out = S(x)
+        ref = (scalar_laplacian_csr(g) @ x.ravel()).reshape(g.cells)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert not np.signbit(out).any()
+    # and the interior cells of a mollified -0.0 field
+    assert not np.signbit(mollifier(0.1, Grid((1.0, 1.0), (64, 64)))(np.full((64, 64), -0.0))).any()
+
+
+def test_stencil_result_survives_the_next_call():
+    g = Grid((1.0, 1.0), (8, 6), frozenset(("left",)))
+    S = ops.scalar_laplacian_gamma0(g)
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal(g.cells), rng.standard_normal(g.cells)
+    first = S(a)
+    kept = first.copy()
+    S(b)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(S(a), kept)
 
 
 def test_mac_advection_skew_2d_anisotropic():
