@@ -263,6 +263,23 @@ def test_newton_direction_stops_cleanly_on_indefinite_system(params, react):
     assert np.all(np.isfinite(delta))
 
 
+@pytest.mark.parametrize(
+    "module", ["scipy.sparse.linalg", "scipy.fft", "scipy.special", "scipy.ndimage"]
+)
+def test_package_import_leaves_scipy_sparse_linalg_out(module):
+    # the package needs numpy alone; run against the copy of the package
+    # this module imported
+    src = str(Path(biomass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = f"import sys, biofilmflow; print({module!r} in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_package_import_loads_no_scipy_and_demo_setup_no_numpy_random():
     # the package runs on numpy alone, and a config whose presets draw no
     # random numbers builds no generator; run against the copy of the
