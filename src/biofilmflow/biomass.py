@@ -157,16 +157,20 @@ def _newton_direction(ws, g, s, c, eta):
     return (-g - stiff(root * y)) / c, its
 
 
-def step_biomass(ws, u, w, v, cfg, x0=None):
+def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
     """Advance the biomass field one implicit step.
 
     u, w: ScalarField; v: VectorField (discretely divergence-free,
     zero boundary faces). Returns (ScalarField, BiomassStepReport).
     x0 optionally warm-starts Newton, e.g. from the previous Picard
-    round's pre-clamp iterate (the report's iterate).
+    round's pre-clamp iterate (the report's iterate). Newton stops once
+    dt times the sup-norm of the residual is at most tol (None means
+    NEWTON_TOL); a coupling round whose projection onto K was loose,
+    and so cannot be accepted, passes FIRST_ROUND_TOL.
     """
     p = ws.params
     dt = cfg.dt
+    tol = NEWTON_TOL if tol is None else tol
     grid = ws.grid
     w_tilde = mollify_array(np.clip(w.values, 0.0, 1.0), ws.mollifier_mu)
     growth = consumption_rate(w_tilde, p)
@@ -190,11 +194,11 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
     eta = ETA
     it = 0
     krylov_iters = 0
-    while res > NEWTON_TOL:
+    while res > tol:
         if it >= cfg.newton_max:
             raise NonConvergenceError(
                 f"biomass Newton stalled at residual {res:.3e} "
-                f"after {it} iterations (tol {NEWTON_TOL:.1e})",
+                f"after {it} iterations (tol {tol:.1e})",
                 residual=res,
                 history=history,
             )
@@ -209,16 +213,23 @@ def step_biomass(ws, u, w, v, cfg, x0=None):
             x_try = x + step * delta
             g_try = _residual(x_try, u_old, growth, v.comps, ws, dt)
             res_try = float(np.abs(g_try).max()) * dt
-            if res_try <= (1.0 - 1e-4 * step) * res or res_try <= NEWTON_TOL:
+            if res_try <= (1.0 - 1e-4 * step) * res or res_try <= tol:
                 accepted = True
                 break
             step *= 0.5
         it += 1
         if not accepted:
             if eta * 1e-3 < 1e-12:
+                # where growth outruns 1/dt + b, backward Euler need not
+                # have a nonnegative solution; name that cause
+                short = int((react <= 0.0).sum())
+                cause = (
+                    f"; growth outruns 1/dt + b in {short} cells (min "
+                    f"1/dt + b - growth {react.min():.3e}): reduce dt"
+                ) if short else ""
                 raise NonConvergenceError(
                     f"biomass Newton line search failed at residual {res:.3e} "
-                    f"with a direction solved to {eta:.0e} (tol {NEWTON_TOL:.1e})",
+                    f"with a direction solved to {eta:.0e} (tol {tol:.1e}){cause}",
                     residual=res,
                     history=history,
                 )

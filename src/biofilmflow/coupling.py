@@ -18,9 +18,12 @@ never accepted; its projection stops at FIRST_ROUND_TOL instead of the
 tight FEAS_TOL/STEP_TOL. A round is accepted only when its projection
 met the tight tolerances, so a first round that passes the Picard test
 on a loose projection is followed by a tight one that faces the same
-test. Where the obstacle is inactive the projection meets the tight
+test. A round whose projection was loose also stops its biomass Newton
+solve at FIRST_ROUND_TOL instead of NEWTON_TOL: it only seeds the next
+round, so every accepted biomass iterate is still solved to NEWTON_TOL.
+Where the obstacle is inactive the projection meets the tight
 tolerances in its first iteration whatever it was asked for, and the
-first round can be accepted as before.
+first round, Newton solve included, can be accepted as before.
 """
 
 from __future__ import annotations
@@ -180,6 +183,7 @@ def picard_step(stepper, state, g, record=None):
     residuals = []
     projection_iters = []
     newton_iters = []
+    krylov_iters = []
     for k in range(cc.picard_max):
         v_new, pressure, flow_rep, obs = step_flow(
             stepper.flow_ws,
@@ -197,6 +201,7 @@ def picard_step(stepper, state, g, record=None):
             v_new,
             stepper.bio_cfg,
             x0=x0,
+            tol=None if flow_rep.tight else FIRST_ROUND_TOL,
         )
         x0 = bio_rep.iterate
         norm_prev = np.sqrt(ops.scalar_l2_sq(uk.values, vol))
@@ -206,6 +211,7 @@ def picard_step(stepper, state, g, record=None):
         residuals.append(res)
         projection_iters.append(flow_rep.dykstra_sweeps)
         newton_iters.append(bio_rep.newton_iters)
+        krylov_iters.append(bio_rep.krylov_iters)
         uk = u_new
         if (
             flow_rep.tight
@@ -245,6 +251,7 @@ def picard_step(stepper, state, g, record=None):
         picard_residuals=residuals,
         round_projection_iters=projection_iters,
         round_newton_iters=newton_iters,
+        round_krylov_iters=krylov_iters,
         kinetic_sq=ops.face_l2_sq(list(v_new.comps), vol),
         viscous_grad_sq=viscous,
         nutrient_sq=ops.scalar_l2_sq(w_new.values, vol),

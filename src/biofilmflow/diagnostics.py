@@ -103,10 +103,11 @@ class StepDiagnostics:
     clamp_w: float
     # not serialized: energy-ledger raw terms and iteration telemetry
     picard_residuals: list = field(default_factory=list)
-    # per coupling round, beside picard_residuals: projection and Newton
-    # iterations
+    # per coupling round, beside picard_residuals: projection, Newton and
+    # Newton's summed CG iterations
     round_projection_iters: list = field(default_factory=list)
     round_newton_iters: list = field(default_factory=list)
+    round_krylov_iters: list = field(default_factory=list)
     kinetic_sq: float = 0.0
     viscous_grad_sq: float = 0.0
     nutrient_sq: float = 0.0

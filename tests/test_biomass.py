@@ -181,6 +181,48 @@ def test_result_independent_of_workspace_history(params):
     assert np.array_equal(out_warm.values, out_fresh.values)
 
 
+def test_loose_tolerance_stops_at_first_iterate_below_it(monkeypatch, params):
+    # a coupling round that cannot be accepted passes a loose tol: Newton
+    # takes the iterates of the tight solve and stops at the first whose
+    # dt |g|_inf is at most tol; with no tol nothing changes
+    g = build_grid(2, (1.0, 1.0), (16, 16), ("left",))
+    ws = make_biomass_workspace(g, params)
+    cfg = BiomassStepConfig(dt=1e-3)
+    rng = np.random.default_rng(5)
+    u = ScalarField(g, rng.uniform(0.0, 0.7, g.cells))
+    w = ScalarField(g, rng.uniform(0.2, 1.0, g.cells))
+    v = stream_field_2d(g, rng, amplitude=0.4)
+
+    iterates = []
+    slope_of = biomass.biomass_diffusion_reg_deriv
+
+    def recording_slope(x, p):
+        iterates.append(x.copy())
+        return slope_of(x, p)
+
+    monkeypatch.setattr(biomass, "biomass_diffusion_reg_deriv", recording_slope)
+    out, rep = step_biomass(ws, u, w, v, cfg)
+    monkeypatch.undo()
+    iterates.append(rep.iterate)
+    assert rep.residual <= NEWTON_TOL
+    for tol in (None, NEWTON_TOL):
+        again, _ = step_biomass(ws, u, w, v, cfg, tol=tol)
+        assert np.array_equal(again.values, out.values)
+
+    growth = consumption_rate(mollify_array(w.values, ws.mollifier_mu), params)
+    res = [
+        cfg.dt * np.abs(biomass._residual(x, u.values, growth, v.comps, ws, cfg.dt)).max()
+        for x in iterates
+    ]
+    first = next(k for k, r in enumerate(res) if r <= 1e-3)
+    assert 0 < first < rep.newton_iters
+    loose_out, loose = step_biomass(ws, u, w, v, cfg, tol=1e-3)
+    assert loose.newton_iters == first
+    assert np.array_equal(loose.iterate, iterates[first])
+    assert loose.residual == res[first] > NEWTON_TOL
+    assert np.array_equal(loose_out.values, np.clip(iterates[first], 0.0, params.u_star))
+
+
 def test_jacobian_is_column_dominant_by_reaction_margin(params):
     # S is weakly column dominant with nonpositive off-diagonals and the
     # slopes are >= 0, so every column of J beats its off-diagonal sum by
@@ -244,6 +286,26 @@ def test_newton_directions_meet_forcing_term_on_dense_jacobian(monkeypatch, k1, 
         margin = (diag - (np.abs(jac).sum(axis=0) - diag)).min()
         assert (margin > 0.0) == dominant
         assert np.abs(jac @ delta + res).max() <= eta * np.abs(res).max()
+
+
+def test_line_search_failure_names_growth_beyond_the_step():
+    # backward Euler has no nonnegative solution here: growth outruns
+    # 1/dt + b everywhere, and the error says so and what to change
+    p = ModelParams(k1=20.0)
+    g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
+    ws = make_biomass_workspace(g, p)
+    rng = np.random.default_rng(1)
+    u = ScalarField(g, rng.uniform(0.0, 0.6, g.cells))
+    w = ScalarField(g, rng.uniform(0.5, 1.0, g.cells))
+    with pytest.raises(NonConvergenceError, match="line search failed") as exc:
+        step_biomass(ws, u, w, VectorField.zeros(g), BiomassStepConfig(dt=1.0))
+    growth = consumption_rate(mollify_array(w.values, ws.mollifier_mu), p)
+    c = 1.0 + p.b - growth
+    assert (c <= 0.0).all()
+    msg = str(exc.value)
+    assert f"growth outruns 1/dt + b in {c.size} cells" in msg
+    assert f"(min 1/dt + b - growth {c.min():.3e})" in msg
+    assert msg.endswith("reduce dt")
 
 
 @pytest.mark.parametrize("react", [-10.0, -60.0])

@@ -7,7 +7,7 @@ from conftest import stream_field_2d
 
 from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
-from biofilmflow.biomass import BiomassStepConfig, step_biomass
+from biofilmflow.biomass import NEWTON_TOL, BiomassStepConfig, step_biomass
 from biofilmflow.config import initial_state, parse_config
 from biofilmflow.constitutive import ModelParams
 from biofilmflow.coupling import (
@@ -359,12 +359,34 @@ def test_first_round_projection_is_loose(saturated_block, saturated_steps):
         rep.dykstra_sweeps for _, rep in flows
     ]
     assert sum((d.round_newton_iters for d in diags), []) == iters
+    assert sum((d.round_krylov_iters for d in diags), []) == [
+        out[1].krylov_iters for *_, bios in saturated_steps for _, out in bios
+    ]
     for _, diag, step_flows, _ in saturated_steps:
         later = diag.picard_iters - 1
         tols = [kwargs["tol"] for kwargs, _ in step_flows]
         assert tols == [coupling_mod.FIRST_ROUND_TOL] + [None] * later
         # the loose first projection stops short of the tight tolerances
         assert [rep.tight for _, rep in step_flows] == [False] + [True] * later
+
+
+def test_loose_round_stops_newton_loosely(saturated_steps):
+    # a round whose projection was loose cannot be accepted, so its Newton
+    # solve stops at FIRST_ROUND_TOL; a tight round, and so the accepted
+    # one, solves to NEWTON_TOL (test_first_round_projection_is_loose
+    # checks that the Picard counts stay [3, 4, 4])
+    for _, diag, step_flows, bios in saturated_steps:
+        assert len(bios) == len(step_flows) == diag.picard_iters
+        for (_, flow_rep), (kwargs, (_, bio_rep)) in zip(step_flows, bios):
+            if flow_rep.tight:
+                assert kwargs["tol"] is None
+            else:
+                assert kwargs["tol"] == coupling_mod.FIRST_ROUND_TOL
+                assert bio_rep.residual <= coupling_mod.FIRST_ROUND_TOL
+        assert not step_flows[0][1].tight
+        # the loose solve stopped well short of the tight tolerance
+        assert bios[0][1][1].residual > NEWTON_TOL
+        assert bios[-1][1][1].residual <= NEWTON_TOL
 
 
 def test_picard_rounds_hand_pre_clamp_iterate_forward(saturated_steps):
@@ -386,9 +408,10 @@ def test_loose_round_is_never_accepted(params):
     # saturated block's loose first round must still be followed by a
     # tight one, which is accepted
     coupling = CouplingConfig(dt=1e-3, t_end=1e-3, picard_tol=1e3)
-    _, diag, flows, _ = _spied_step(*_block_stepper(params, coupling))
+    _, diag, flows, bios = _spied_step(*_block_stepper(params, coupling))
     assert diag.picard_iters == 2
     assert [rep.tight for _, rep in flows] == [False, True]
+    assert [kwargs["tol"] for kwargs, _ in bios] == [coupling_mod.FIRST_ROUND_TOL, None]
     assert diag.max_constraint_excess <= FEAS_TOL
     assert diag.max_div <= FEAS_TOL
 
@@ -398,7 +421,9 @@ def test_loose_round_is_never_accepted(params):
     stepper = make_stepper(g, params, coupling)
     gforce = stream_field_2d(g, np.random.default_rng(2), amplitude=2.0)
     state = SimState(t=0.0, u=u, w=w, v=v, P=ScalarField.zeros(g))
-    _, diag, flows, _ = _spied_step(stepper, state, gforce)
+    _, diag, flows, bios = _spied_step(stepper, state, gforce)
     assert diag.picard_iters == 1
     assert flows[0][0]["tol"] == coupling_mod.FIRST_ROUND_TOL
+    # and its Newton solve is the tight one
+    assert bios[0][0]["tol"] is None
     assert flows[0][1].tight and flows[0][1].dykstra_sweeps == 1
