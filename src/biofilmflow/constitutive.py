@@ -12,10 +12,13 @@ density, Monod saturation) is testable:
   to keep a global Lipschitz constant k1/k2;
 * biomass diffusion slope d1(r) = kappa r^alpha / (u_star - r)^gamma
   with alpha > 1 (degenerate at 0, singular at u_star), its primitive
-  (the diffusion energy density), and a globally Lipschitz surrogate
-  used by the implicit solver: d1 clamped at u_star - lambda, extended
-  linearly above with the clamped slope, and extended below zero with
-  slope 1/lambda (a stiff penalty pushing negative densities back).
+  (the diffusion energy density, read from a Simpson table integrated
+  block by block only as far as lookups reach, so a run whose density
+  stays low computes a fraction of it, with block-sized temporaries),
+  and a globally Lipschitz surrogate used by the implicit solver: d1
+  clamped at u_star - lambda, extended linearly above with the clamped
+  slope, and extended below zero with slope 1/lambda (a stiff penalty
+  pushing negative densities back).
 
 Parameter validation lives in validate_params, not the constructor, so
 tests may build degenerate parameter sets (k1 = 0, b = 0) on purpose.
@@ -32,6 +35,7 @@ import numpy as np
 from .errors import ConfigError
 
 _ENERGY_TABLE_SIZE = 2**18 + 1
+_TABLE_BLOCK = 4096  # intervals per build step of the energy table; even
 
 
 @dataclass(frozen=True)
@@ -217,46 +221,71 @@ def _simpson_panels(f0, f1, f2, h1, h2, out):
     out *= q
 
 
-def _cumulative_simpson(f, x):
-    """Cumulative composite Simpson integral of f over the nodes x, from 0.
+def _simpson_intervals(f, x, out, close):
+    """Composite Simpson integral of f over each interval of the nodes x,
+    into out.
 
-    Even intervals take the rule of the triple they open, odd ones (and
-    the last) the rule of the triple they close: the even triples serve
-    both, read forward and backward, and the last triple closes the last
-    interval. The arithmetic is SciPy's cumulative Simpson rule for
-    unequal intervals, term for term, so the table agrees with it bit for
-    bit.
+    Even intervals take the rule of the triple they open, odd ones the
+    rule of the triple they close: the even triples serve both, read
+    forward and backward. With ``close`` the last triple also closes the
+    last interval, which a trailing odd interval needs. The arithmetic is
+    SciPy's cumulative Simpson rule for unequal intervals, term for term,
+    so the cumulative sum of out agrees with it bit for bit.
     """
     dx = np.diff(x)
     f0, f1, f2 = f[:-2:2], f[1:-1:2], f[2::2]
     h1, h2 = dx[:-1:2], dx[1::2]
-    cum = np.empty(x.size)
-    cum[0] = 0.0
-    sub = cum[1:]
-    _simpson_panels(f0, f1, f2, h1, h2, sub[:-1:2])
-    _simpson_panels(f2, f1, f0, h2, h1, sub[1::2])
-    _simpson_panels(f[-1:], f[-2:-1], f[-3:-2], dx[-1:], dx[-2:-1], sub[-1:])
-    np.cumsum(sub, out=sub)
-    return cum
+    _simpson_panels(f0, f1, f2, h1, h2, out[:-1:2])
+    _simpson_panels(f2, f1, f0, h2, h1, out[1::2])
+    if close:
+        _simpson_panels(f[-1:], f[-2:-1], f[-3:-2], dx[-1:], dx[-2:-1], out[-1:])
 
 
-@lru_cache(maxsize=8)
-def _energy_table(u_star, kappa, alpha, gamma, lam):
-    """Cumulative integral of d1 on [0, u_star - lam].
+class _EnergyTable:
+    """Cumulative integral of d1 on [0, u_star - lam], built on demand.
 
     Tabulated on a grid uniform in y = ln(u_star/(u_star - r)); the
     substitution absorbs the near-singularity so a Simpson rule on
     2^18 panels is accurate even for lam as small as 1e-9 * u_star.
+    ``cum`` holds valid entries for the first ``size`` nodes only:
+    ``extend`` integrates further, one block of _TABLE_BLOCK intervals
+    at a time, each adding the last entry before it to its first panel
+    and then summing in place, which is the same sequential sum as one
+    pass over the whole table. With the default parameters a lookup below
+    u = 0.6 reaches a seventh of it, and every temporary is a block long
+    (32 kB), not table long (2 MB). A table grows in place, so it must
+    not be extended from two threads at once.
     """
-    p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
-    y_end = math.log(u_star / lam)
-    y = np.linspace(0.0, y_end, _ENERGY_TABLE_SIZE)
-    r = u_star * (-np.expm1(-y))
-    # d1(r) dr = d1(r) (u_star - r) dy
-    integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
-    cum = _cumulative_simpson(integrand, y)
-    cap = u_star - lam
-    return y, cum, float(cum[-1]), biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
+
+    def __init__(self, u_star, kappa, alpha, gamma, lam):
+        self.coef = (u_star, kappa, alpha, gamma)
+        self.y = np.linspace(0.0, math.log(u_star / lam), _ENERGY_TABLE_SIZE)
+        self.cum = np.zeros(_ENERGY_TABLE_SIZE)
+        self.size = 1
+        p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
+        self.d1_end = biomass_diffusion(u_star - lam, p)
+        self.slope_top = biomass_diffusion_deriv(u_star - lam, p)
+
+    def extend(self, nodes):
+        """Make the first ``nodes`` entries of ``cum`` valid."""
+        u_star, kappa, alpha, gamma = self.coef
+        last = self.y.size - 1
+        while self.size < nodes:
+            a = self.size - 1
+            b = min(a + _TABLE_BLOCK, last)
+            y = self.y[a : b + 1]
+            r = u_star * (-np.expm1(-y))
+            # d1(r) dr = d1(r) (u_star - r) dy
+            integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
+            sub = self.cum[a + 1 : b + 1]
+            _simpson_intervals(integrand, y, sub, close=b == last)
+            sub[0] += self.cum[a]
+            np.cumsum(sub, out=sub)
+            self.size = b + 1
+
+
+# one table per parameter set, shared by every lookup
+_energy_table = lru_cache(maxsize=8)(_EnergyTable)
 
 
 def _table_index(y_grid, y):
@@ -280,23 +309,22 @@ def diffusion_energy(r, p):
     the whole line with its minimum at 0.
     """
     lam = p.beta_reg_lambda
-    y_grid, cum, b_end, d1_end, slope_top = _energy_table(
-        p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, lam
-    )
+    table = _energy_table(p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, lam)
     r = np.asarray(r, dtype=float)
     cap = p.u_star - lam
     rc = np.clip(r, 0.0, cap)
     y = np.log(p.u_star / (p.u_star - rc))
     # bracketing node plus a short trapezoid panel to the query point;
     # the panel is ~1e-5 wide so its error is far below the table's
-    idx = _table_index(y_grid, y)
-    y0 = y_grid[idx]
+    idx = _table_index(table.y, y)
+    table.extend(idx.max(initial=0) + 1)
+    y0 = table.y[idx]
     r0 = p.u_star * (-np.expm1(-y0))
     f0 = p.kappa * r0**p.alpha_exp * (p.u_star - r0) ** (1.0 - p.gamma_exp)
     fq = p.kappa * rc**p.alpha_exp * (p.u_star - rc) ** (1.0 - p.gamma_exp)
-    out = cum[idx] + 0.5 * (y - y0) * (f0 + fq)
+    out = table.cum[idx] + 0.5 * (y - y0) * (f0 + fq)
     over = np.maximum(r - cap, 0.0)
-    out = out + d1_end * over + 0.5 * slope_top * over**2
+    out = out + table.d1_end * over + 0.5 * table.slope_top * over**2
     under = np.maximum(-r, 0.0)
     out = out + 0.5 * under**2 / lam
     return out if out.ndim else float(out)

@@ -231,6 +231,8 @@ def picard_step(stepper, state, g, record=None):
     if record is not None:
         record.append(v_new, v_star, g, obs.values)
     new_state = SimState(t=state.t + cc.dt, u=u_new, w=w_new, v=v_new, P=pressure)
+    kinetic_sq = ops.face_l2_sq(list(v_new.comps), vol)
+    nutrient_sq = ops.scalar_l2_sq(w_new.values, vol)
     diag = StepDiagnostics(
         step=-1,
         t=new_state.t,
@@ -239,9 +241,9 @@ def picard_step(stepper, state, g, record=None):
         u_max=bio_rep.pre_clamp_max,
         w_min=nut_rep.pre_clamp_min,
         w_max=nut_rep.pre_clamp_max,
-        kinetic_energy=0.5 * ops.face_l2_sq(list(v_new.comps), vol),
+        kinetic_energy=0.5 * kinetic_sq,
         phi_u=biomass_energy(u_new, stepper.params),
-        nutrient_l2=float(np.sqrt(ops.scalar_l2_sq(w_new.values, vol))),
+        nutrient_l2=float(np.sqrt(nutrient_sq)),
         max_constraint_excess=flow_rep.max_excess,
         max_div=flow_rep.max_div,
         mass_u=ops.scalar_mass(u_new.values, vol),
@@ -252,14 +254,11 @@ def picard_step(stepper, state, g, record=None):
         round_projection_iters=projection_iters,
         round_newton_iters=newton_iters,
         round_krylov_iters=krylov_iters,
-        kinetic_sq=ops.face_l2_sq(list(v_new.comps), vol),
+        kinetic_sq=kinetic_sq,
         viscous_grad_sq=viscous,
-        nutrient_sq=ops.scalar_l2_sq(w_new.values, vol),
+        nutrient_sq=nutrient_sq,
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),
         forcing_sq=ops.face_l2_sq(list(g.comps), vol),
-        newton_iters=bio_rep.newton_iters,
-        krylov_iters=bio_rep.krylov_iters,
-        dykstra_sweeps=flow_rep.dykstra_sweeps,
         predict_iters=predict_iters,
         pressure_residual=flow_rep.pressure_residual,
     )

@@ -104,7 +104,9 @@ class StepDiagnostics:
     # not serialized: energy-ledger raw terms and iteration telemetry
     picard_residuals: list = field(default_factory=list)
     # per coupling round, beside picard_residuals: projection, Newton and
-    # Newton's summed CG iterations
+    # Newton's summed CG iterations; the last entry is the accepted round,
+    # whose projection counts from the previous round's multipliers when
+    # the step took more than one round
     round_projection_iters: list = field(default_factory=list)
     round_newton_iters: list = field(default_factory=list)
     round_krylov_iters: list = field(default_factory=list)
@@ -113,11 +115,6 @@ class StepDiagnostics:
     nutrient_sq: float = 0.0
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
-    newton_iters: int = 0
-    krylov_iters: int = 0  # CG iterations summed over the Newton iterations
-    # iterations of the accepted round's projection, counted from the
-    # previous round's multipliers when the step took more than one round
-    dykstra_sweeps: int = 0
     predict_iters: int = 0
     pressure_residual: float = 0.0
 

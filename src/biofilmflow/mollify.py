@@ -10,7 +10,7 @@ so cells near the boundary lose mass by design. The convolution is an
 ``operators.Stencil`` built once per (radius, grid) and shared by every
 solver; each cell sums the taps in the order scipy.ndimage.correlate
 does, so the result equals ndimage's bit for bit. The boundary cutoff is
-a plain cell array too.
+a read-only cell array, likewise built once per (grid, mu).
 """
 
 from __future__ import annotations
@@ -89,11 +89,13 @@ def smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
+@lru_cache(maxsize=16)
 def build_cutoff(grid, mu):
     """Per-cell cutoff array: 0 within mu/2 of gamma0, 1 beyond mu.
 
     Distance is measured from cell centers to the gamma0 face set; with
-    an empty gamma0 the cutoff is identically 1.
+    an empty gamma0 the cutoff is identically 1. Built once per (grid,
+    mu) and shared read-only by the solvers.
     """
     mu = float(mu)
     if mu <= 0:
@@ -104,4 +106,5 @@ def build_cutoff(grid, mu):
     if np.any(finite):
         t = (dist - 0.5 * mu) / (0.5 * mu)
         vals = np.where(finite, smoothstep(t), 1.0)
+    vals.setflags(write=False)
     return vals

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,25 @@ def test_energy_matches_quadrature_oracle(p):
         assert diffusion_energy(r, p) == pytest.approx(ref, rel=1e-8)
 
 
+def _table_key(p):
+    return p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda
+
+
+def _full_table(*key):
+    table = constitutive._energy_table(*key)
+    table.extend(table.y.size)
+    return table.y, table.cum
+
+
+def _energy_on_full_table(r, p):
+    # the lookup on a table integrated to its end before the call
+    constitutive._energy_table.cache_clear()
+    _full_table(*_table_key(p))
+    out = diffusion_energy(r, p)
+    constitutive._energy_table.cache_clear()
+    return out
+
+
 @pytest.mark.parametrize(
     "u_star, kappa, alpha, gamma, lam",
     [
@@ -194,7 +214,7 @@ def test_energy_table_equals_scipy_cumulative_simpson(u_star, kappa, alpha, gamm
     # one bit of difference in the table moves phi_u in the series
     from scipy.integrate import cumulative_simpson
 
-    y, cum, *_ = constitutive._energy_table(u_star, kappa, alpha, gamma, lam)
+    y, cum = _full_table(u_star, kappa, alpha, gamma, lam)
     r = u_star * (-np.expm1(-y))
     integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
     assert np.array_equal(cum, cumulative_simpson(integrand, x=y, initial=0.0))
@@ -206,9 +226,7 @@ def _searchsorted_index(y_grid, y):
 
 def test_table_index_equals_searchsorted():
     p = ModelParams()
-    y_grid = constitutive._energy_table(
-        p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda
-    )[0]
+    y_grid, _ = _full_table(*_table_key(p))
     for y in (
         y_grid,
         np.nextafter(y_grid, np.inf),
@@ -235,6 +253,82 @@ def test_diffusion_energy_unchanged_by_the_table_index(monkeypatch):
     monkeypatch.setattr(constitutive, "_table_index", _searchsorted_index)
     for r, out in zip(fields, fast):
         assert np.array_equal(out, diffusion_energy(r, p))
+
+
+def test_table_grown_lookup_by_lookup_equals_full_table():
+    p = ModelParams()
+    cap = p.u_star - p.beta_reg_lambda
+    rng = np.random.default_rng(7)
+    fields = []
+    for top in (0.3, 0.6, 0.95, cap + 0.5 * p.beta_reg_lambda):
+        r = rng.uniform(0.0, top, (64, 64))
+        r[0, 0] = top
+        fields.append(r)
+    full = [_energy_on_full_table(r, p) for r in fields]
+    sizes = []
+    for r, ref in zip(fields, full):
+        assert np.array_equal(diffusion_energy(r, p), ref)
+        sizes.append(constitutive._energy_table(*_table_key(p)).size)
+    assert sizes == sorted(sizes) and sizes[-1] == constitutive._ENERGY_TABLE_SIZE
+
+
+def _low_density_field():
+    return np.random.default_rng(3).uniform(0.0, 0.6, (64, 64))
+
+
+def test_low_density_lookup_integrates_a_seventh_of_the_table(monkeypatch):
+    integrated = []
+    panels = constitutive._simpson_panels
+
+    def counting(*args):
+        integrated.append(args[-1].size)
+        panels(*args)
+
+    monkeypatch.setattr(constitutive, "_simpson_panels", counting)
+    constitutive._energy_table.cache_clear()
+    diffusion_energy(_low_density_field(), ModelParams())
+    constitutive._energy_table.cache_clear()
+    intervals = constitutive._ENERGY_TABLE_SIZE - 1
+    assert 0 < sum(integrated) <= 0.15 * intervals, sum(integrated)
+
+
+def test_first_low_density_lookup_peaks_below_five_megabytes():
+    u = _low_density_field()
+    constitutive._energy_table.cache_clear()
+    tracemalloc.start()
+    try:
+        diffusion_energy(u, ModelParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        constitutive._energy_table.cache_clear()
+    assert peak <= 5e6, peak
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        0.45,
+        np.array(0.45),
+        np.array([]),
+        np.nan,
+        np.array([np.nan, 0.2]),
+        -0.003,
+        np.array([-0.5, -1e-12, 0.0]),
+        1.0005,
+        np.array([0.1, 0.9995, 3.0]),
+    ],
+    ids=[
+        "float", "0-d", "empty", "nan", "nan-array", "negative",
+        "negative-array", "above-cap", "above-cap-array",
+    ],
+)
+def test_edge_inputs_on_a_partial_table_equal_the_full_table(r):
+    p = ModelParams()
+    ref = _energy_on_full_table(r, p)
+    out = diffusion_energy(r, p)
+    assert np.shape(out) == np.shape(ref)
+    assert np.array_equal(out, ref, equal_nan=True)
 
 
 def test_package_import_leaves_scipy_integrate_out():

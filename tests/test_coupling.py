@@ -318,7 +318,7 @@ def test_saturated_block_projection_stays_short(saturated_block):
     # must keep every accepted round's projection to a few hundred
     # iterations
     _, diags, flows = saturated_block
-    sweeps = [d.dykstra_sweeps for d in diags]
+    sweeps = [d.round_projection_iters[-1] for d in diags]
     assert len(sweeps) == 3
     assert max(sweeps) <= 500, sweeps
     # every round counts, not just the accepted ones: a round started
@@ -343,7 +343,7 @@ def test_picard_rounds_hand_multipliers_forward(saturated_block):
             else:
                 assert lam is prev.lam
             prev = rep
-        assert prev.dykstra_sweeps == d.dykstra_sweeps
+        assert prev.dykstra_sweeps == d.round_projection_iters[-1]
     assert next(rounds, None) is None
 
 

@@ -222,6 +222,13 @@ def test_cutoff_tends_to_one_as_mu_shrinks():
     assert build_cutoff(g, 2.5 * dist)[cell] < 1.0
 
 
+def test_cutoff_built_once_per_grid_and_mu_and_read_only():
+    # the flow and biomass workspaces and the initial-data check share it
+    c = build_cutoff(build_grid(2, (1.0, 1.0), (32, 32), ("left",)), 0.2)
+    assert build_cutoff(build_grid(2, (1.0, 1.0), (32, 32), ("left",)), 0.2) is c
+    assert not c.flags.writeable
+
+
 def test_cutoff_all_walls_identity():
     g = Grid((1.0, 1.0), (8, 8))
     assert (build_cutoff(g, 0.1) == 1.0).all()
