@@ -251,15 +251,17 @@ class _EnergyTable:
     ``extend`` integrates further, one block of _TABLE_BLOCK intervals
     at a time, each adding the last entry before it to its first panel
     and then summing in place, which is the same sequential sum as one
-    pass over the whole table. With the default parameters a lookup below
-    u = 0.6 reaches a seventh of it, and every temporary is a block long
-    (32 kB), not table long (2 MB). A table grows in place, so it must
-    not be extended from two threads at once.
+    pass over the whole table. The nodes are not stored; ``_table_nodes``
+    makes each block's from ``end``, the last node. With the default
+    parameters a lookup below u = 0.6 reaches a seventh of the table, and
+    every temporary is a block long (32 kB), not table long (2 MB). A
+    table grows in place, so it must not be extended from two threads at
+    once.
     """
 
     def __init__(self, u_star, kappa, alpha, gamma, lam):
         self.coef = (u_star, kappa, alpha, gamma)
-        self.y = np.linspace(0.0, math.log(u_star / lam), _ENERGY_TABLE_SIZE)
+        self.end = math.log(u_star / lam)
         self.cum = np.zeros(_ENERGY_TABLE_SIZE)
         self.size = 1
         p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
@@ -269,11 +271,13 @@ class _EnergyTable:
     def extend(self, nodes):
         """Make the first ``nodes`` entries of ``cum`` valid."""
         u_star, kappa, alpha, gamma = self.coef
-        last = self.y.size - 1
+        last = _ENERGY_TABLE_SIZE - 1
         while self.size < nodes:
             a = self.size - 1
             b = min(a + _TABLE_BLOCK, last)
-            y = self.y[a : b + 1]
+            y = _table_nodes(np.arange(a, b + 1), last, self.end)
+            if b == last:
+                y[-1] = self.end
             r = u_star * (-np.expm1(-y))
             # d1(r) dr = d1(r) (u_star - r) dy
             integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
@@ -288,16 +292,24 @@ class _EnergyTable:
 _energy_table = lru_cache(maxsize=8)(_EnergyTable)
 
 
-def _table_index(y_grid, y):
+def _table_nodes(idx, n, end):
+    """Nodes idx < n of the uniform table of n intervals on [0, end],
+    with the bits of ``np.linspace(0.0, end, n + 1)[idx]``: idx times the
+    step, plus 0.0. Node n is end itself, which linspace sets apart."""
+    return idx * (end / n) + 0.0
+
+
+def _table_index(n, end, y):
     """``clip(searchsorted(y_grid, y) - 1, 0, n - 1)`` for the uniform
-    table y_grid of n + 1 nodes from 0: the node below y, found by
+    table y_grid of n + 1 nodes on [0, end]: the node below y, found by
     rounding y down onto the table and correcting the guess by at most
     one node each way, so that y_grid[idx] < y <= y_grid[idx + 1]. fmax
     and fmin send a NaN to a valid node before the cast."""
-    n = len(y_grid) - 1
-    idx = np.fmin(np.fmax(y * (n / y_grid[-1]), 0.0), n - 1).astype(np.intp)
-    idx -= y <= y_grid[idx]
-    idx += y > y_grid[idx + 1]
+    idx = np.fmin(np.fmax(y * (n / end), 0.0), n - 1).astype(np.intp)
+    idx -= y <= _table_nodes(idx, n, end)
+    # at idx + 1 = n the formula may miss end by a rounding, but either
+    # outcome of the test clips to n - 1
+    idx += y > _table_nodes(idx + 1, n, end)
     return np.clip(idx, 0, n - 1)
 
 
@@ -316,9 +328,10 @@ def diffusion_energy(r, p):
     y = np.log(p.u_star / (p.u_star - rc))
     # bracketing node plus a short trapezoid panel to the query point;
     # the panel is ~1e-5 wide so its error is far below the table's
-    idx = _table_index(table.y, y)
+    n = _ENERGY_TABLE_SIZE - 1
+    idx = _table_index(n, table.end, y)
     table.extend(idx.max(initial=0) + 1)
-    y0 = table.y[idx]
+    y0 = _table_nodes(idx, n, table.end)
     r0 = p.u_star * (-np.expm1(-y0))
     f0 = p.kappa * r0**p.alpha_exp * (p.u_star - r0) ** (1.0 - p.gamma_exp)
     fq = p.kappa * rc**p.alpha_exp * (p.u_star - rc) ** (1.0 - p.gamma_exp)

@@ -17,19 +17,19 @@ across it) and solved exactly by the orthonormal transform matrices of
 predictor does not depend on the biomass, so it runs once per time
 step; only the projection sees the biomass iterate. The projection
 onto K(r) is solved in its dual, one multiplier per cell for the speed
-ball, by an accelerated proximal gradient (FISTA) with adaptive
-restart: each iteration is one exact affine projection (a cosine
-transform Poisson solve) and one cellwise soft-threshold, so it
-converges to the true metric projection. The multipliers are kept as
-one cell array per velocity component. A projection may start from
-given multipliers and returns its final ones; the coupling loop hands
-each round's multipliers to the next round of the same step and starts
-every step from zero, so a step depends on its start state only. The
-coupling loop may also ask for a looser stopping tolerance than
-FEAS_TOL/STEP_TOL (its first round does); the report then says whether
-the result met the tight ones anyway, which it does at once where the
-obstacle is inactive. The potential of the final affine projection,
-divided by dt, serves as the pressure.
+ball, by a proximal gradient iteration with Anderson acceleration: each
+iteration is one exact affine projection (a cosine transform Poisson
+solve), one cellwise soft-threshold and a small least-squares fit over
+the last residuals, so it converges to the true metric projection. The
+multipliers are kept as one cell array per velocity component. A
+projection may start from given multipliers and returns its final ones;
+the coupling loop hands each round's multipliers to the next round of
+the same step and starts every step from zero, so a step depends on its
+start state only. The coupling loop may also ask for a looser stopping
+tolerance than FEAS_TOL/STEP_TOL (its first round does); the report
+then says whether the result met the tight ones anyway, which it does
+at once where the obstacle is inactive. The potential of the final
+affine projection, divided by dt, serves as the pressure.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from .mollify import build_cutoff, mollifier, mollify_array
 FEAS_TOL = 1e-9
 STEP_TOL = 1e-9
 PROJECT_MAX_ITERS = 200000
+# Anderson acceleration of the projection: residual history length,
+# Tikhonov weight relative to the trace of the Gram matrix
+ANDERSON_DEPTH = 10
+ANDERSON_REG = 1e-10
 # predictor fixed point: relative increment bound, iteration cap
 PREDICT_TOL = 1e-14
 PREDICT_MAX_ITERS = 60
@@ -58,8 +62,9 @@ PREDICT_MAX_ITERS = 60
 
 @dataclass
 class FlowStepReport:
-    """dykstra_sweeps counts the iterations of the projection onto K;
-    the name is older than the dual method. A projection started from
+    """dykstra_sweeps counts the iterations of the projection onto K,
+    Anderson-accelerated dual proximal gradient steps; the name is older
+    than the dual method. A projection started from
     the previous coupling round's multipliers counts only the iterations
     it needed from there: one where the obstacle is inactive, up to a
     few hundred where it binds on a dense block. lam holds the final
@@ -215,24 +220,41 @@ def _zero_normal_boundary(comps):
     return out
 
 
-def _project_affine(comps, h):
-    """Exact projection onto {zero boundary faces, div_h = 0}.
+def _project_affine(comps, h, lam=None):
+    """Exact projection of y = comps - M^T lam onto {zero boundary faces,
+    div_h = 0}, with lam one cell array per component (None: y = comps).
 
-    Returns (projected comps, potential phi). Zeroing the boundary faces
-    and the interior pressure correction are orthogonal steps, so the
-    composition is itself the metric projection onto the affine set.
+    Returns (projected comps, potential phi, div_h y: the right-hand
+    side phi solves for). Zeroing the boundary faces and the interior
+    pressure correction are orthogonal steps, so the composition is
+    itself the metric projection onto the affine set. Only interior
+    faces are computed. M^T lam puts half of each cell's multiplier on
+    each of its two faces, summed as a zero-filled face array would sum
+    them, so y has the bits of that full-face composition.
     """
-    out = _zero_normal_boundary(comps)
-    phi = ops.poisson_neumann(ops.divergence(out, h), h)
-    grad = ops.gradient_faces(phi, h)
-    return [c - g for c, g in zip(out, grad)], phi
+    nd = len(comps)
+    inner = [ops.axslice(nd, ax, slice(1, -1)) for ax in range(nd)]
+    y = [np.zeros(c.shape) for c in comps]
+    for ax, (c, yc) in enumerate(zip(comps, y)):
+        if lam is None:
+            yc[inner[ax]] = c[inner[ax]]
+            continue
+        half = 0.5 * lam[ax]
+        # a zero-filled array sums (0 + a) + b, which is (a + b) + 0: -0 + -0 is +0
+        adj = half[ops.axslice(nd, ax, slice(1, None))] + half[ops.axslice(nd, ax, slice(None, -1))]
+        adj += 0.0
+        np.subtract(c[inner[ax]], adj, out=yc[inner[ax]])
+    rhs = ops.divergence(y, h)
+    phi = ops.poisson_neumann(rhs, h)
+    for ax, yc in enumerate(y):
+        yc[inner[ax]] -= np.diff(phi, axis=ax) / h[ax]
+    return y, phi, rhs
 
 
-def _affine_residual(phi, comps, h):
-    """Largest Poisson residual of the potential phi that
-    ``_project_affine(comps, h)`` returned."""
-    res = ops.neumann_laplacian_apply(phi, h) - ops.divergence(_zero_normal_boundary(comps), h)
-    return float(np.abs(res).max())
+def _affine_residual(phi, rhs, h):
+    """Largest Poisson residual of the potential phi and the right-hand
+    side rhs that ``_project_affine`` returned."""
+    return float(np.abs(ops.neumann_laplacian_apply(phi, h) - rhs).max())
 
 
 def constraint_excess(comps, obs):
@@ -246,9 +268,9 @@ def pressure_project(v, dt):
     residual). The potential is mean-zero.
     """
     grid = v.grid
-    out, phi = _project_affine(list(v.comps), grid.h)
+    out, phi, rhs = _project_affine(list(v.comps), grid.h)
     scale = max(1.0, float(np.abs(phi).max()) / min(grid.h) ** 2)
-    residual = _affine_residual(phi, list(v.comps), grid.h) / scale
+    residual = _affine_residual(phi, rhs, grid.h) / scale
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt), residual
 
 
@@ -268,25 +290,33 @@ def _shrink_cells(z, obs):
 
 
 def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
-    """Metric projection onto K(obs) by an accelerated dual gradient.
+    """Metric projection onto K(obs) by an Anderson-accelerated dual
+    proximal gradient.
 
     With M the face-to-center average and lam the per-cell multipliers
     of the speed balls, the primal point of lam is
     x(lam) = P_A(v - M^T lam), P_A the affine projection (one Poisson
-    solve). FISTA with step 1 (valid since ||M P_A M^T|| <= ||M||^2 <= 1)
-    ascends the dual, whose proximal step is a cellwise group
-    soft-threshold; the momentum is reset whenever the dual step points
-    against it (gradient restart, O'Donoghue & Candes 2015). x(.) is
-    affine, so M x(y) at the extrapolated dual point y is extrapolated
-    from the last two iterates and each iteration costs one solve.
+    solve). The dual solution is the fixed point of the proximal
+    gradient map G(lam) = S_r(lam + M x(lam)) with step 1 (valid since
+    ||M P_A M^T|| <= ||M||^2 <= 1), S_r the cellwise group
+    soft-threshold. Type-II Anderson acceleration (Walker & Ni 2011;
+    Mai & Johansson 2020 for proximal gradient) takes
+    lam+ = G(lam) - dG gamma, gamma the least-squares fit of the newest
+    residual f = G(lam) - lam by the differences dF of the last
+    ANDERSON_DEPTH residuals, Tikhonov-regularized by ANDERSON_REG times
+    the trace of dF^T dF. The Gram matrix and dF^T f gain one row per
+    iteration. A residual above 4 times the smallest |f|^2 of the call
+    drops the history, so the next step is a plain G(lam). The history
+    lives within one call and each iteration costs one solve.
 
     lam, one cell array per component, is the starting dual point; with
     None it is zero and the first affine projection is of v itself.
     Multipliers returned by a projection of the same v onto a nearby
-    obstacle are a good start. Returns (VectorField, pressure
-    ScalarField, info dict); info["sweeps"] counts the iterations,
-    info["increment"] is the last primal increment and info["lam"]
-    holds the final multipliers. Termination requires the
+    obstacle are a good start. If G fixes the start bit for bit, x of
+    the start is returned after one iteration. Returns (VectorField,
+    pressure ScalarField, info dict); info["sweeps"] counts the
+    iterations, info["increment"] is the last primal increment and
+    info["lam"] holds the final multipliers. Termination requires the
     speed excess and the divergence to sit under feas_tol *and* the last
     primal increment to be below step_tol; plain feasibility is reached
     early by iterates that are still far from the projection, so it
@@ -301,20 +331,46 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     r = obs.values
     if lam is None:
         lam = [np.zeros(r.shape) for _ in range(grid.dim)]
-    # v - M^T 0 is v bit for bit, so a cold start projects v itself
-    y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam))]
-    x, phi = _project_affine(y_in, h)
+    x, phi, rhs = _project_affine(v.comps, h, lam)
     m = ops.center_average(x)
-    y, m_y, t = lam, m, 1.0
+    f_prev = g_prev = hist = None
+    best, cols = np.inf, 0
     for it in range(PROJECT_MAX_ITERS):
-        lam_new = _shrink_cells([a + b for a, b in zip(y, m_y)], r)
-        if not all(np.array_equal(a, b) for a, b in zip(lam_new, lam)):
-            # x(lam) moves only with lam; an unmoved dual keeps x and phi
-            y_in = [a - b for a, b in zip(v.comps, ops.interp_centers_adjoint(lam_new))]
-            x_new, phi = _project_affine(y_in, h)
-            m_new = ops.center_average(x_new)
+        g = _shrink_cells([a + b for a, b in zip(lam, m)], r)
+        if it == 0 and all(np.array_equal(a, b) for a, b in zip(g, lam)):
+            lam_new, x_new, m_new = g, x, m
         else:
-            x_new, m_new = x, m
+            f = [a - b for a, b in zip(g, lam)]
+            fsq = sum(float(np.vdot(c, c)) for c in f)
+            if f_prev is None or fsq > 4.0 * best:
+                lam_new, cols = g, 0
+            else:
+                if hist is None:
+                    hist = np.empty((2, ANDERSON_DEPTH, len(f), *r.shape))
+                    gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+                    fit = np.zeros(ANDERSON_DEPTH)
+                d_f, d_g = hist
+                j = cols % ANDERSON_DEPTH
+                cols += 1
+                n = min(cols, ANDERSON_DEPTH)
+                for ax in range(len(f)):
+                    np.subtract(f[ax], f_prev[ax], out=d_f[j, ax])
+                    np.subtract(g[ax], g_prev[ax], out=d_g[j, ax])
+                flat = d_f.reshape(ANDERSON_DEPTH, -1)
+                row = flat[:n] @ flat[j]
+                gram[j, :n] = gram[:n, j] = row
+                fit[:n] += row  # f = f_prev + d_f[j]
+                fit[j] = sum(float(np.vdot(a, b)) for a, b in zip(d_f[j], f))
+                lhs = gram[:n, :n].copy()
+                # tiny: a history of zeros (a stalled iterate) solves to gamma = 0
+                lhs.flat[:: n + 1] += ANDERSON_REG * max(np.trace(lhs), np.finfo(float).tiny)
+                gamma = np.linalg.solve(lhs, fit[:n])
+                corr = (gamma @ d_g[:n].reshape(n, -1)).reshape(d_g.shape[1:])
+                lam_new = [a - b for a, b in zip(g, corr)]
+            best = min(best, fsq)
+            f_prev, g_prev = f, g
+            x_new, phi, rhs = _project_affine(v.comps, h, lam_new)
+            m_new = ops.center_average(x_new)
         excess = float(np.max(ops.cell_norm(m_new) - r))
         if excess <= feas_tol or not np.isfinite(excess):
             dv = float(np.abs(ops.divergence(x_new, h)).max())
@@ -331,19 +387,10 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                     "max_excess": excess,
                     "max_div": dv,
                     "increment": inc,
-                    "pressure_residual": _affine_residual(phi, y_in, h),
+                    "pressure_residual": _affine_residual(phi, rhs, h),
                     "lam": lam_new,
                 }
                 return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
-        dlam = [a - b for a, b in zip(lam_new, lam)]
-        if sum(float(np.vdot(a - b, d)) for a, b, d in zip(y, lam_new, dlam)) > 0.0:
-            y, m_y, t = lam_new, m_new, 1.0
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            y = [a + beta * d for a, d in zip(lam_new, dlam)]
-            m_y = [a + beta * (a - b) for a, b in zip(m_new, m)]
-            t = t_new
         lam, x_prev, x, m = lam_new, x, x_new, m_new
     dv = float(np.abs(ops.divergence(x, h)).max())
     inc = max(float(np.abs(a - b).max()) for a, b in zip(x, x_prev))

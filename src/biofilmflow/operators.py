@@ -44,19 +44,6 @@ def divergence(comps, h):
     return div
 
 
-def gradient_faces(phi, h):
-    """Face-centered gradient of a cell field; boundary faces get 0."""
-    nd = phi.ndim
-    out = []
-    for ax in range(nd):
-        shape = list(phi.shape)
-        shape[ax] += 1
-        g = np.zeros(shape)
-        g[axslice(nd, ax, slice(1, -1))] = np.diff(phi, axis=ax) / h[ax]
-        out.append(g)
-    return out
-
-
 def scatter_faces(faces):
     """Cell sums of interior-face values: faces[ax] (the cell shape less
     one along ax) is added to each face's low cell, subtracted from its high."""
@@ -77,22 +64,6 @@ def center_average(comps):
         0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
         for ax, c in enumerate(comps)
     ]
-
-
-def interp_centers_adjoint(m):
-    """Transpose of ``center_average``: spread per-component cell data
-    onto the faces, half to each of a cell's two faces per component."""
-    nd = len(m)
-    out = []
-    for ax, c in enumerate(m):
-        half = 0.5 * c
-        shape = list(half.shape)
-        shape[ax] += 1
-        f = np.zeros(shape)
-        f[axslice(nd, ax, slice(None, -1))] += half
-        f[axslice(nd, ax, slice(1, None))] += half
-        out.append(f)
-    return out
 
 
 def cell_norm(m):

@@ -201,13 +201,43 @@ def biomass_jacobian(x, growth, ws, dt):
 
 
 # ---------------------------------------------------------------------------
-# dense reference projection onto {div-free, zero boundary} ∩ {speed balls}
+# dense reference projection onto {div-free, zero boundary} ∩ {speed balls},
+# and the face operators the dual projection composes, as oracles
 # ---------------------------------------------------------------------------
 
 def _sl(nd, axis, s):
     out = [slice(None)] * nd
     out[axis] = s
     return tuple(out)
+
+
+def gradient_faces(phi, h):
+    """Face-centered gradient of a cell field; boundary faces get 0."""
+    nd = phi.ndim
+    out = []
+    for ax in range(nd):
+        shape = list(phi.shape)
+        shape[ax] += 1
+        g = np.zeros(shape)
+        g[_sl(nd, ax, slice(1, -1))] = np.diff(phi, axis=ax) / h[ax]
+        out.append(g)
+    return out
+
+
+def interp_centers_adjoint(m):
+    """Transpose of ``center_average``: spread per-component cell data
+    onto the faces, half to each of a cell's two faces per component."""
+    nd = len(m)
+    out = []
+    for ax, c in enumerate(m):
+        half = 0.5 * c
+        shape = list(half.shape)
+        shape[ax] += 1
+        f = np.zeros(shape)
+        f[_sl(nd, ax, slice(None, -1))] += half
+        f[_sl(nd, ax, slice(1, None))] += half
+        out.append(f)
+    return out
 
 
 def face_layout(cells):

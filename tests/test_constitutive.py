@@ -188,8 +188,8 @@ def _table_key(p):
 
 def _full_table(*key):
     table = constitutive._energy_table(*key)
-    table.extend(table.y.size)
-    return table.y, table.cum
+    table.extend(constitutive._ENERGY_TABLE_SIZE)
+    return np.linspace(0.0, table.end, constitutive._ENERGY_TABLE_SIZE), table.cum
 
 
 def _energy_on_full_table(r, p):
@@ -220,13 +220,15 @@ def test_energy_table_equals_scipy_cumulative_simpson(u_star, kappa, alpha, gamm
     assert np.array_equal(cum, cumulative_simpson(integrand, x=y, initial=0.0))
 
 
-def _searchsorted_index(y_grid, y):
+def _searchsorted_index(n, end, y):
+    y_grid = np.linspace(0.0, end, n + 1)
     return np.clip(np.searchsorted(y_grid, y) - 1, 0, len(y_grid) - 2)
 
 
 def test_table_index_equals_searchsorted():
     p = ModelParams()
     y_grid, _ = _full_table(*_table_key(p))
+    n, end = len(y_grid) - 1, y_grid[-1]
     for y in (
         y_grid,
         np.nextafter(y_grid, np.inf),
@@ -234,11 +236,24 @@ def test_table_index_equals_searchsorted():
         np.array([0.0, y_grid[-1]]),
         np.random.default_rng(0).uniform(0.0, y_grid[-1], 10**6),
     ):
-        assert np.array_equal(constitutive._table_index(y_grid, y), _searchsorted_index(y_grid, y))
+        assert np.array_equal(constitutive._table_index(n, end, y), _searchsorted_index(n, end, y))
     # a small table whose rounded guess falls one node low above a node
     y_grid = np.linspace(0.0, 81.04640777541927, 44)
+    n, end = len(y_grid) - 1, y_grid[-1]
     for y in (y_grid, np.nextafter(y_grid, np.inf), np.array([50.88960488224001])):
-        assert np.array_equal(constitutive._table_index(y_grid, y), _searchsorted_index(y_grid, y))
+        assert np.array_equal(constitutive._table_index(n, end, y), _searchsorted_index(n, end, y))
+
+
+def test_table_nodes_equal_linspace():
+    # the table keeps no node array: every block's nodes are made again
+    # (the end node, which linspace sets apart, by the table itself)
+    p = ModelParams()
+    n = constitutive._ENERGY_TABLE_SIZE - 1
+    for end in (constitutive._energy_table(*_table_key(p)).end, 81.04640777541927, 1.0 / 3.0):
+        ref = np.linspace(0.0, end, n + 1)
+        assert np.array_equal(constitutive._table_nodes(np.arange(n), n, end), ref[:-1])
+        block = np.arange(4096, 8193)
+        assert np.array_equal(constitutive._table_nodes(block, n, end), ref[block])
 
 
 def test_diffusion_energy_unchanged_by_the_table_index(monkeypatch):

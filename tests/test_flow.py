@@ -6,12 +6,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import fft
 
-from conftest import component_laplacian, dense_projection_reference, stream_field_2d
+from conftest import (
+    build_dense_constraints,
+    component_laplacian,
+    dense_projection_reference,
+    face_layout,
+    gradient_faces,
+    interp_centers_adjoint,
+    kkt_certificate,
+    pack,
+    stream_field_2d,
+)
 
 from biofilmflow import flow
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import speed_limit, speed_limit_reg
-from biofilmflow.errors import ConfigError, StabilityError
+from biofilmflow.errors import ConfigError, NonConvergenceError, StabilityError
 from biofilmflow.flow import (
     FlowTrajectory,
     ObstacleField,
@@ -320,7 +330,7 @@ def test_pressure_project_annihilates_gradients(params):
     g = Grid((1.0, 1.0), (14, 14))
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(g.cells)
-    grad = ops.gradient_faces(phi, g.h)
+    grad = gradient_faces(phi, g.h)
     out, _, _ = pressure_project(VectorField(g, tuple(grad)), dt=1.0)
     scale = max(np.abs(c).max() for c in grad)
     assert max(np.abs(c).max() for c in out.comps) < 1e-11 * scale
@@ -331,6 +341,36 @@ def test_pressure_project_keeps_solenoidal_fields(params):
     v = stream_field_2d(g, np.random.default_rng(5), amplitude=1.0)
     out, _, _ = pressure_project(v, dt=1.0)
     assert max(np.abs(a - b).max() for a, b in zip(out.comps, v.comps)) < 1e-12
+
+
+@pytest.mark.parametrize("cells", [(12, 10), (5, 4, 6)])
+def test_project_affine_equals_the_composed_projection(cells):
+    # P_A(v - M^T lam) on interior faces only has the bits of the
+    # composition of full face arrays it replaces, signed zeros included:
+    # the adjoint sums -0.0 + -0.0 to +0.0, and on a field at rest the
+    # sign of a zero reaches the result
+    g = Grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(13)
+    comps = [rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)]
+    lam = np.stack([rng.standard_normal(g.cells) for _ in range(g.dim)])
+    lam[:, 1:3] = 0.0
+    lam[0, 1:3] *= -1.0
+    rest = [np.full(c.shape, -0.0) for c in comps]
+    for field, mult in ((comps, None), (comps, lam), (rest, np.full(lam.shape, -0.0))):
+        y = field if mult is None else [
+            a - b for a, b in zip(field, interp_centers_adjoint(list(mult)))
+        ]
+        y = [c.copy() for c in y]
+        for ax, c in enumerate(y):
+            c[ops.axslice(g.dim, ax, 0)] = 0.0
+            c[ops.axslice(g.dim, ax, -1)] = 0.0
+        rhs = ops.divergence(y, g.h)
+        phi = ops.poisson_neumann(rhs, g.h)
+        ref = [a - b for a, b in zip(y, gradient_faces(phi, g.h))]
+        x, phi_got, rhs_got = flow._project_affine(field, g.h, mult)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(x, ref))
+        assert phi_got.tobytes() == phi.tobytes()
+        assert rhs_got.tobytes() == rhs.tobytes()
 
 
 # --- metric projection onto the constraint set -------------------------------
@@ -370,6 +410,20 @@ def test_project_K_fails_fast_on_nonfinite_speeds(params):
     obs = workspace_obstacle(ws, ScalarField.zeros(g))
     with pytest.raises(StabilityError, match="non-finite"):
         project_K(star, obs, ws.dt)
+
+
+def test_project_K_that_cannot_settle_hits_the_iteration_cap(params, monkeypatch):
+    # at speeds of 1e8 rounding alone leaves the affine projection's
+    # divergence far above FEAS_TOL, so no iterate passes the test; the
+    # inactive obstacle keeps the dual point fixed, and a history of zero
+    # residual differences must still end at the cap, not in a singular
+    # least-squares solve
+    monkeypatch.setattr(flow, "PROJECT_MAX_ITERS", 30)
+    g = Grid((1.0, 1.0), (16, 16))
+    rng = np.random.default_rng(14)
+    v = VectorField(g, tuple(1e8 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
+    with pytest.raises(NonConvergenceError, match="did not settle in 30 iterations"):
+        project_K(v, ObstacleField(g, np.full(g.cells, 1e12)), dt=1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -438,6 +492,47 @@ def test_project_K_restarts_from_its_own_multipliers(params):
     # zero multipliers are the cold start, bit for bit
     zero, _, _ = project_K(v, obs, dt=1.0, lam=[np.zeros(g.cells)] * 2)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first.comps, zero.comps))
+
+
+def test_project_K_certified_where_a_block_binds(params):
+    # a divergence-free field through a 4 x 4 block of tight speed balls:
+    # the first-order conditions certify the result as the projection,
+    # reached in well under the 593 iterations FISTA with restart took
+    g = Grid((1.0, 1.0), (16, 16))
+    v = stream_field_2d(g, np.random.default_rng(3), amplitude=3.0)
+    obs = np.full(g.cells, 9.0)
+    obs[6:10, 6:10] = 0.035
+    out, _, info = project_K(v, ObstacleField(g, obs), dt=1.0)
+    shapes, offs, ntot = face_layout(g.cells)
+    G, E = build_dense_constraints(g.cells, g.h)
+    cert = kkt_certificate(
+        pack(out.comps, shapes, offs, ntot), pack(v.comps, shapes, offs, ntot),
+        G[:-1], E, obs.ravel(),
+    )
+    assert cert["stat"] < 1e-7, cert
+    assert info["sweeps"] <= 400, info["sweeps"]
+
+
+def test_project_K_inactive_is_one_solve(params, monkeypatch):
+    # an obstacle that never binds: the start is the dual fixed point, so
+    # the projection is the affine one, after one iteration and one solve
+    g = Grid((1.0, 1.5), (12, 10))
+    rng = np.random.default_rng(11)
+    v = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
+    ref, p_ref, _ = pressure_project(v, dt=1e-3)
+    calls = []
+    solve = ops.poisson_neumann
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(ops, "poisson_neumann", counted)
+    out, pressure, info = project_K(v, ObstacleField(g, np.full(g.cells, 1e6)), dt=1e-3)
+    assert len(calls) == 1
+    assert info["sweeps"] == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out.comps, ref.comps))
+    assert pressure.values.tobytes() == p_ref.values.tobytes()
 
 
 def test_projection_variational_characterization(params):
