@@ -5,7 +5,8 @@ strongly stirred box. The averaged density pushes the local speed bound
 down to its plateau mu, so the patch behaves like a near-rigid body while
 the surrounding fluid keeps circulating. Prints the core/fluid speed
 split and the projection, Newton and CG iterations of every coupling
-round per step, and writes a CSV series plus VTK snapshots.
+round per step, writes a CSV series plus VTK snapshots, and ends with
+one line of totals over the run: newton N krylov M projection P.
 
 Usage: python3 scripts/solid_block.py [--steps 20] [--cells 64] [--out-dir out/block]
 """
@@ -66,8 +67,12 @@ def main():
     inset = min(4, (hi - lo - 1) // 2)
     core = (slice(lo + inset, hi - inset),) * 2
     print(f"block [{lo}:{hi})^2 at u*={p.u_star}, plateau mu={p.mu}, force={args.force}")
+    newton = krylov = projection = 0
     for k in range(args.steps):
         state, diag = picard_step(stepper, state, force)
+        newton += sum(diag.round_newton_iters)
+        krylov += sum(diag.round_krylov_iters)
+        projection += sum(diag.round_projection_iters)
         writer.write_row(replace(diag, step=k + 1))
         speed = ops.cell_norm(ops.center_average(state.v.comps))
         print(
@@ -88,6 +93,7 @@ def main():
             )
     writer.close()
     print(f"series + snapshots in {args.out_dir}/")
+    print(f"newton {newton} krylov {krylov} projection {projection}")
 
 
 if __name__ == "__main__":

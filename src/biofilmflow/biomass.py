@@ -16,6 +16,16 @@ interest). Each Newton system is solved matrix-free by Jacobi-
 preconditioned conjugate gradients on its symmetrized form, to a
 forcing term on the true linear residual (see _newton_direction).
 
+beta has slope 0 at u = 0+, 1/lambda below zero and a slope that grows
+without bound towards u_star, and Newton on u keeps crossing these kinks.
+So Newton's unknown is a parameter tau with u = U(tau), chosen so that
+both U and beta(U) have bounded slopes (Brenner & Cances, SIAM J. Numer.
+Anal. 55, 2017): tau = beta(u) below zero, tau = u on [0, u_s] with
+u_s = 0.9 u_star, and a log branch above u_s (_tau_of_u, _u_of_tau).
+On [0, u_s] U is the identity bit for bit, so a run whose iterates stay
+there takes exactly the steps Newton on u takes. Residuals, tolerances
+and the warm start stay in u.
+
 The converged solution obeys the discrete comparison bounds up to the
 Newton tolerance plus the surrogate's penalty undershoot (which scales
 with beta_reg_lambda); the final clamp to [0, u_star] is a rounding
@@ -24,6 +34,7 @@ guard whose magnitude is reported, not a modeling device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +45,7 @@ from .constitutive import (
     biomass_diffusion_reg_deriv,
     consumption_rate,
     diffusion_energy,
+    surrogate_cap,
 )
 from .errors import ConfigError, NonConvergenceError
 from .grid import ScalarField
@@ -44,6 +56,8 @@ NEWTON_TOL = 1e-11
 # forcing term: each Newton direction leaves a linear residual of at most
 # ETA times the nonlinear one (sup-norms)
 ETA = 1e-4
+# Newton's unknown tau is the identity of u on [0, _TAU_SPLIT * u_star]
+_TAU_SPLIT = 0.9
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,61 @@ def biomass_energy(u, params):
     return float(np.sum(diffusion_energy(u.values, params)) * u.grid.cell_volume)
 
 
+def _tau_knots(p):
+    """(u_s, K, cap, u_star - cap, tau at the cap) of the parametrization."""
+    u_s = _TAU_SPLIT * p.u_star
+    k = p.u_star - u_s
+    cap = surrogate_cap(p)[0]
+    gap = p.u_star - cap
+    return u_s, k, cap, gap, u_s + k * math.log(k / gap)
+
+
+def _on_identity(a, u_s):
+    """Whether every entry of a lies in [0, u_s], where tau is u."""
+    return a.min() >= 0.0 and a.max() <= u_s
+
+
+def _tau_of_u(u, p):
+    """Newton's unknown tau = T(u), the inverse of _u_of_tau.
+
+    tau is beta(u) = u/lambda below zero, u on [0, u_s], and
+    u_s + K ln(K/(u_star - u)) with K = u_star - u_s up to the cap node,
+    then linear with slope K/lambda. An array inside [0, u_s] is returned
+    as it is.
+    """
+    u_s, k, cap, gap, tau_cap = _tau_knots(p)
+    if _on_identity(u, u_s):
+        return u
+    mid = u_s + k * np.log(k / (p.u_star - np.clip(u, u_s, cap)))
+    top = tau_cap + (u - cap) * (k / gap)
+    inner = np.where(u <= u_s, u, np.where(u <= cap, mid, top))
+    return np.where(u < 0.0, u / p.beta_reg_lambda, inner)
+
+
+def _u_of_tau(tau, p):
+    """u = U(tau): lambda tau below zero, tau on [0, u_s], then
+    u_star - K exp(-(tau - u_s)/K) up to the cap node and linear past it.
+    U and beta(U) have bounded slopes, and U is C^1 at u_s and at the cap.
+    An array inside [0, u_s] is returned as it is."""
+    u_s, k, cap, gap, tau_cap = _tau_knots(p)
+    if _on_identity(tau, u_s):
+        return tau
+    mid = p.u_star - k * np.exp((u_s - np.clip(tau, u_s, tau_cap)) / k)
+    top = cap + (tau - tau_cap) * (gap / k)
+    inner = np.where(tau <= u_s, tau, np.where(tau <= tau_cap, mid, top))
+    return np.where(tau < 0.0, p.beta_reg_lambda * tau, inner)
+
+
+def _du_dtau(tau, p):
+    """U'(tau), or None where U is the identity on all of tau."""
+    u_s, k, _, gap, tau_cap = _tau_knots(p)
+    if _on_identity(tau, u_s):
+        return None
+    mid = np.exp((u_s - np.clip(tau, u_s, tau_cap)) / k)
+    inner = np.where(tau <= u_s, 1.0, np.where(tau <= tau_cap, mid, gap / k))
+    return np.where(tau < 0.0, p.beta_reg_lambda, inner)
+
+
 def _residual(x, u_old, growth, v, ws, dt):
     p = ws.params
     beta = biomass_diffusion_reg(x, p)
@@ -115,6 +184,9 @@ def _residual(x, u_old, growth, v, ws, dt):
 
 def _newton_direction(ws, g, s, c, eta):
     """Inexact solve of J delta = -g, J = diag(c) + S diag(s), flat arrays.
+
+    step_biomass passes the Jacobian in tau, J_u diag(U'): c is 1/dt + b -
+    growth times U' and s is beta'(U) U', so delta is a step in tau.
 
     With y = sqrt(s) delta, sqrt(s) times the system reads M y = -sqrt(s) g
     for the symmetric M = diag(c) + sqrt(s) S sqrt(s), and the first row
@@ -167,6 +239,10 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
     dt times the sup-norm of the residual is at most tol (None means
     NEWTON_TOL); a coupling round whose projection onto K was loose,
     and so cannot be accepted, passes FIRST_ROUND_TOL.
+
+    Newton moves tau = T(u) (see the module docstring): each direction
+    solves the Jacobian in tau and the line search steps tau, but every
+    residual, the acceptance test, x0 and the report's iterate are in u.
     """
     p = ws.params
     dt = cfg.dt
@@ -178,6 +254,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
 
     u_old = u.values
     x = np.array(u_old if x0 is None else x0, dtype=float, copy=True)
+    tau = _tau_of_u(x, p)
     g_vec = _residual(x, u_old, growth, v.comps, ws, dt)
     res = float(np.abs(g_vec).max()) * dt
     history = [res]
@@ -203,14 +280,22 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
                 history=history,
             )
         slope = biomass_diffusion_reg_deriv(x, p).ravel()
-        delta, its = _newton_direction(ws, g_vec.ravel(), slope, react, eta)
+        c = react
+        du = _du_dtau(tau, p)
+        if du is not None:
+            # the Jacobian in tau is the one in u times diag(U')
+            du = du.ravel()
+            slope *= du
+            c = react * du
+        delta, its = _newton_direction(ws, g_vec.ravel(), slope, c, eta)
         delta = delta.reshape(grid.cells)
         krylov_iters += its
         # backtracking on the sup-norm of the residual
         step = 1.0
         accepted = False
         for _ in range(30):
-            x_try = x + step * delta
+            tau_try = tau + step * delta
+            x_try = _u_of_tau(tau_try, p)
             g_try = _residual(x_try, u_old, growth, v.comps, ws, dt)
             res_try = float(np.abs(g_try).max()) * dt
             if res_try <= (1.0 - 1e-4 * step) * res or res_try <= tol:
@@ -235,7 +320,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
                 )
             eta *= 1e-3
             continue
-        x, g_vec, res = x_try, g_try, res_try
+        x, tau, g_vec, res = x_try, tau_try, g_try, res_try
         history.append(res)
 
     pre_min = float(x.min())

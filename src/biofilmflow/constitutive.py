@@ -168,33 +168,42 @@ def biomass_diffusion_deriv(r, p):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=8)
+def _cap_constants(u_star, kappa, alpha, gamma, lam):
+    p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
+    cap = u_star - lam
+    return cap, biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
+
+
+def surrogate_cap(p):
+    """(cap, d1(cap), d1'(cap)) at the surrogate's cap node u_star - lambda,
+    computed once per parameter set."""
+    return _cap_constants(p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda)
+
+
 def biomass_diffusion_reg(r, p):
     """Globally Lipschitz, monotone surrogate of the diffusion graph.
 
     Equals d1 on [0, u_star - lambda]; continues with the frozen slope
     d1'(u_star - lambda) above; drops with slope 1/lambda below zero.
     """
-    lam = p.beta_reg_lambda
     r = np.asarray(r, dtype=float)
-    cap = p.u_star - lam
+    cap, _, slope_top = surrogate_cap(p)
     rc = np.clip(r, 0.0, cap)
-    slope_top = biomass_diffusion_deriv(cap, p)
     out = (
         biomass_diffusion(rc, p)
         + np.maximum(r - cap, 0.0) * slope_top
-        - np.maximum(-r, 0.0) / lam
+        - np.maximum(-r, 0.0) / p.beta_reg_lambda
     )
     return out if out.ndim else float(out)
 
 
 def biomass_diffusion_reg_deriv(r, p):
     """Slope of the surrogate graph (1/lambda below 0, frozen above cap)."""
-    lam = p.beta_reg_lambda
     r = np.asarray(r, dtype=float)
-    cap = p.u_star - lam
-    slope_top = biomass_diffusion_deriv(cap, p)
+    cap, _, slope_top = surrogate_cap(p)
     mid = biomass_diffusion_deriv(np.clip(r, 0.0, cap), p)
-    out = np.where(r < 0.0, 1.0 / lam, np.where(r > cap, slope_top, mid))
+    out = np.where(r < 0.0, 1.0 / p.beta_reg_lambda, np.where(r > cap, slope_top, mid))
     return out if out.ndim else float(out)
 
 
@@ -264,9 +273,6 @@ class _EnergyTable:
         self.end = math.log(u_star / lam)
         self.cum = np.zeros(_ENERGY_TABLE_SIZE)
         self.size = 1
-        p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
-        self.d1_end = biomass_diffusion(u_star - lam, p)
-        self.slope_top = biomass_diffusion_deriv(u_star - lam, p)
 
     def extend(self, nodes):
         """Make the first ``nodes`` entries of ``cum`` valid."""
@@ -323,7 +329,7 @@ def diffusion_energy(r, p):
     lam = p.beta_reg_lambda
     table = _energy_table(p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, lam)
     r = np.asarray(r, dtype=float)
-    cap = p.u_star - lam
+    cap, d1_cap, slope_top = surrogate_cap(p)
     rc = np.clip(r, 0.0, cap)
     y = np.log(p.u_star / (p.u_star - rc))
     # bracketing node plus a short trapezoid panel to the query point;
@@ -337,7 +343,7 @@ def diffusion_energy(r, p):
     fq = p.kappa * rc**p.alpha_exp * (p.u_star - rc) ** (1.0 - p.gamma_exp)
     out = table.cum[idx] + 0.5 * (y - y0) * (f0 + fq)
     over = np.maximum(r - cap, 0.0)
-    out = out + table.d1_end * over + 0.5 * table.slope_top * over**2
+    out = out + d1_cap * over + 0.5 * slope_top * over**2
     under = np.maximum(-r, 0.0)
     out = out + 0.5 * under**2 / lam
     return out if out.ndim else float(out)

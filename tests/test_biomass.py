@@ -20,7 +20,12 @@ from biofilmflow.biomass import (
     make_biomass_workspace,
     step_biomass,
 )
-from biofilmflow.constitutive import ModelParams, consumption_rate, diffusion_energy
+from biofilmflow.constitutive import (
+    ModelParams,
+    biomass_diffusion_reg,
+    consumption_rate,
+    diffusion_energy,
+)
 from biofilmflow.errors import ConfigError, NonConvergenceError
 from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
 from biofilmflow.mollify import mollify_array
@@ -252,7 +257,8 @@ def test_jacobian_is_column_dominant_by_reaction_margin(params):
 def test_newton_directions_meet_forcing_term_on_dense_jacobian(monkeypatch, k1, dt):
     # every matrix-free direction a step takes leaves a true linear residual
     # against the assembled Jacobian within the forcing term, both while the
-    # Jacobian is column dominant and once growth outruns 1/dt + b
+    # Jacobian is column dominant and once growth outruns 1/dt + b; Newton
+    # moves tau, so by the chain rule the step in u is U'(tau) delta
     iterates, directions = [], []
     slope_of = biomass.biomass_diffusion_reg_deriv
     direction_of = biomass._newton_direction
@@ -285,7 +291,70 @@ def test_newton_directions_meet_forcing_term_on_dense_jacobian(monkeypatch, k1, 
         diag = np.abs(np.diag(jac))
         margin = (diag - (np.abs(jac).sum(axis=0) - diag)).min()
         assert (margin > 0.0) == dominant
-        assert np.abs(jac @ delta + res).max() <= eta * np.abs(res).max()
+        du = biomass._du_dtau(biomass._tau_of_u(x, p), p)
+        step = delta if du is None else du.ravel() * delta
+        assert np.abs(jac @ step + res).max() <= eta * np.abs(res).max()
+
+
+def test_newton_parametrization_is_the_identity_on_the_middle_branch(params):
+    # on [0, u_s] tau is u itself, bit for bit, and an array inside that
+    # range comes back as the same object, with no slope array made
+    u_s = biomass._TAU_SPLIT * params.u_star
+    u = np.linspace(0.0, u_s, 1001)
+    assert biomass._tau_of_u(u, params) is u
+    assert biomass._u_of_tau(u, params) is u
+    assert biomass._du_dtau(u, params) is None
+    # entries of a mixed array that lie in [0, u_s] keep their bits too
+    mixed = np.concatenate([u, [-0.2, 0.95, params.u_star, 3.0]])
+    assert np.array_equal(biomass._tau_of_u(mixed, params)[: u.size], u)
+    assert np.array_equal(biomass._u_of_tau(mixed, params)[: u.size], u)
+    assert np.array_equal(biomass._du_dtau(mixed, params)[: u.size], np.ones(u.size))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-9])
+def test_newton_parametrization_round_trips(lam):
+    # U(T(u)) returns u to a few ulps on every other branch: the penalty
+    # branch, the log branch up to the cap, past the cap and at u* itself;
+    # on the penalty branch tau is beta(u)
+    p = ModelParams(beta_reg_lambda=lam)
+    u_s, _, cap, _, tau_cap = biomass._tau_knots(p)
+    below = -np.geomspace(1.0, 1e-12, 60)
+    u = np.concatenate([
+        below,
+        np.linspace(u_s, cap, 301)[1:],
+        [p.u_star],
+        cap + np.geomspace(1e-10, 1.0, 60),
+    ])
+    u.sort()
+    tau = biomass._tau_of_u(u, p)
+    assert np.all(np.diff(tau) > 0.0)
+    assert np.array_equal(tau[: below.size], biomass_diffusion_reg(below, p))
+    assert tau[-1] > tau_cap
+    back = biomass._u_of_tau(tau, p)
+    assert np.all(np.abs(back - u) <= 4.0 * np.spacing(np.abs(u))), np.abs(back - u).max()
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-9])
+def test_newton_parametrization_slope(lam):
+    # U' matches a centered difference of U away from the kink at 0, and
+    # is continuous at u_s and at the cap node
+    p = ModelParams(beta_reg_lambda=lam)
+    u_s, k, _, gap, tau_cap = biomass._tau_knots(p)
+    tau = np.concatenate([
+        np.linspace(-50.0, -0.01, 40),
+        np.linspace(0.01, u_s - 0.01, 40),
+        np.linspace(u_s + 0.01, tau_cap - 0.01, 40),
+        np.linspace(tau_cap + 0.01, tau_cap + 5.0, 40),
+    ])
+    h = 1e-6
+    fd = (biomass._u_of_tau(tau + h, p) - biomass._u_of_tau(tau - h, p)) / (2.0 * h)
+    slope = biomass._du_dtau(tau, p)
+    # the truncation error is far below 1e-6; the rounding of U is not
+    rounding = 4.0 * np.spacing(np.abs(biomass._u_of_tau(tau, p))) / h
+    assert np.all(np.abs(fd - slope) <= 1e-6 * slope + rounding)
+    for knot, value in ((u_s, 1.0), (tau_cap, gap / k)):
+        near = biomass._du_dtau(np.array([knot * (1 - 1e-13), knot * (1 + 1e-13)]), p)
+        assert np.allclose(near, value, rtol=1e-11, atol=0.0)
 
 
 def test_line_search_failure_names_growth_beyond_the_step():

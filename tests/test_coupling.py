@@ -304,13 +304,28 @@ def saturated_block(saturated_steps):
 
 
 def test_saturated_block_newton_stays_short(saturated_block):
-    # thousands of cells cross u = 0 during a Newton solve, and a
-    # Jacobian factored on the other side of the penalty branch stalls
-    # the iteration; with the refresh on a branch flip every biomass
-    # call settles well inside newton_max
+    # thousands of cells cross u = 0 during a Newton solve, where the
+    # surrogate's slope jumps from 0 to 1/lambda, and the block's edge
+    # sits near u*, where it grows to the cap slope; every biomass call
+    # must still settle well inside newton_max
     iters, _, _ = saturated_block
     assert iters
     assert max(iters) <= 40, iters
+
+
+def test_saturated_block_newton_in_tau_halves_the_work(saturated_block):
+    # Newton on tau, where u and beta(u) have bounded slopes, stops
+    # crossing the surrogate's kinks: Newton on u itself took 88 iterations
+    # and 9241 CG iterations on these 3 steps. The flow sees the same
+    # biomass to the Newton tolerance, so every round's projection count,
+    # and with them the Picard counts, are as they were
+    iters, diags, _ = saturated_block
+    assert sum(iters) <= 50, iters
+    krylov = sum((d.round_krylov_iters for d in diags), [])
+    assert sum(krylov) <= 3000, krylov
+    assert [d.round_projection_iters for d in diags] == [
+        [10, 82, 1], [12, 127, 75, 15], [15, 130, 83, 14]
+    ]
 
 
 def test_saturated_block_projection_stays_short(saturated_block):

@@ -38,6 +38,15 @@ def test_solid_block_runs_on_a_small_grid(tmp_path):
             assert re.search(f"{label} {rounds}", line), line
     assert (tmp_path / "series.csv").is_file()
 
+    def total(label):
+        counts = (re.search(label + r" \[(.*?)\]", line).group(1) for line in steps)
+        return sum(int(n) for text in counts for n in text.split(", "))
+
+    # the last line totals every round's counts over the run
+    assert out.stdout.splitlines()[-1] == (
+        f"newton {total('newton per round')} krylov {total('krylov per round')}"
+        f" projection {total('projection iters per round')}"
+    )
 
 def test_solid_block_refuses_a_grid_without_a_block(tmp_path):
     out = _script("solid_block.py", "--steps", "1", "--cells", "3", "--out-dir", str(tmp_path))
