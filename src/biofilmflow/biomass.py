@@ -17,14 +17,19 @@ preconditioned conjugate gradients on its symmetrized form, to a
 forcing term on the true linear residual (see _newton_direction).
 
 beta has slope 0 at u = 0+, 1/lambda below zero and a slope that grows
-without bound towards u_star, and Newton on u keeps crossing these kinks.
-So Newton's unknown is a parameter tau with u = U(tau), chosen so that
-both U and beta(U) have bounded slopes (Brenner & Cances, SIAM J. Numer.
-Anal. 55, 2017): tau = beta(u) below zero, tau = u on [0, u_s] with
-u_s = 0.9 u_star, and a log branch above u_s (_tau_of_u, _u_of_tau).
-On [0, u_s] U is the identity bit for bit, so a run whose iterates stay
-there takes exactly the steps Newton on u takes. Residuals, tolerances
-and the warm start stay in u.
+towards u_star up to its cap value, and Newton on u keeps crossing these
+kinks. So Newton's unknown is a parameter tau with u = U(tau) (Brenner &
+Cances, SIAM J. Numer. Anal. 55, 2017): tau = beta(u) below zero, tau = u
+on [0, u_s] with u_s = 0.9 u_star, and a log branch above u_s
+(_tau_of_u, _u_of_tau). U has slope lambda below zero and at most 1
+above. In tau the penalty branch of beta(U) has slope 1 instead of
+1/lambda, and on the log branch the slope of beta(U) is that of beta(u)
+times (u_star - u)/K, K = u_star - u_s: a factor lambda/K smaller at the
+cap. This softens the kinks but does not remove them; the slope of
+beta(U) still jumps at tau = 0, and at the cap it still grows as lambda
+shrinks. On [0, u_s] U is the identity bit for bit, so a run whose
+iterates stay there takes exactly the steps Newton on u takes.
+Residuals, tolerances and the warm start stay in u.
 
 The converged solution obeys the discrete comparison bounds up to the
 Newton tolerance plus the surrogate's penalty undershoot (which scales
@@ -119,10 +124,15 @@ def biomass_energy(u, params):
 
 
 def _tau_knots(p):
-    """(u_s, K, cap, u_star - cap, tau at the cap) of the parametrization."""
-    u_s = _TAU_SPLIT * p.u_star
-    k = p.u_star - u_s
+    """(u_s, K, cap, u_star - cap, tau at the cap) of the parametrization.
+
+    u_s is _TAU_SPLIT * u_star, or the cap node if that lies lower (lambda
+    of at least K); then K = u_star - cap, the log branch is empty and U
+    is the identity on the whole half-line tau >= 0.
+    """
     cap = surrogate_cap(p)[0]
+    u_s = min(_TAU_SPLIT * p.u_star, cap)
+    k = p.u_star - u_s
     gap = p.u_star - cap
     return u_s, k, cap, gap, u_s + k * math.log(k / gap)
 
@@ -152,7 +162,7 @@ def _tau_of_u(u, p):
 def _u_of_tau(tau, p):
     """u = U(tau): lambda tau below zero, tau on [0, u_s], then
     u_star - K exp(-(tau - u_s)/K) up to the cap node and linear past it.
-    U and beta(U) have bounded slopes, and U is C^1 at u_s and at the cap.
+    U's slope is at most max(lambda, 1), and U is C^1 at u_s and at the cap.
     An array inside [0, u_s] is returned as it is."""
     u_s, k, cap, gap, tau_cap = _tau_knots(p)
     if _on_identity(tau, u_s):

@@ -169,16 +169,11 @@ def biomass_diffusion_deriv(r, p):
 
 
 @lru_cache(maxsize=8)
-def _cap_constants(u_star, kappa, alpha, gamma, lam):
-    p = ModelParams(u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma)
-    cap = u_star - lam
-    return cap, biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
-
-
 def surrogate_cap(p):
     """(cap, d1(cap), d1'(cap)) at the surrogate's cap node u_star - lambda,
     computed once per parameter set."""
-    return _cap_constants(p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda)
+    cap = p.u_star - p.beta_reg_lambda
+    return cap, biomass_diffusion(cap, p), biomass_diffusion_deriv(cap, p)
 
 
 def biomass_diffusion_reg(r, p):

@@ -311,21 +311,25 @@ def test_newton_parametrization_is_the_identity_on_the_middle_branch(params):
     assert np.array_equal(biomass._du_dtau(mixed, params)[: u.size], np.ones(u.size))
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e-9])
+# the last two lie above K = 0.1 u*: the cap node is below 0.9 u*, the log
+# branch is empty and U is the identity on tau >= 0
+TAU_LAMBDAS = [1e-3, 1e-9, 0.2, 0.5]
+
+
+@pytest.mark.parametrize("lam", TAU_LAMBDAS)
 def test_newton_parametrization_round_trips(lam):
-    # U(T(u)) returns u to a few ulps on every other branch: the penalty
-    # branch, the log branch up to the cap, past the cap and at u* itself;
-    # on the penalty branch tau is beta(u)
+    # U(T(u)) returns u to a few ulps on every branch: the penalty branch,
+    # the identity, the log branch up to the cap, past the cap and at u*
+    # itself; T is increasing, and on the penalty branch tau is beta(u)
     p = ModelParams(beta_reg_lambda=lam)
     u_s, _, cap, _, tau_cap = biomass._tau_knots(p)
     below = -np.geomspace(1.0, 1e-12, 60)
-    u = np.concatenate([
+    u = np.unique(np.concatenate([
         below,
-        np.linspace(u_s, cap, 301)[1:],
-        [p.u_star],
+        np.linspace(0.0, p.u_star, 401),
+        np.linspace(u_s, cap, 301),
         cap + np.geomspace(1e-10, 1.0, 60),
-    ])
-    u.sort()
+    ]))
     tau = biomass._tau_of_u(u, p)
     assert np.all(np.diff(tau) > 0.0)
     assert np.array_equal(tau[: below.size], biomass_diffusion_reg(below, p))
@@ -334,17 +338,15 @@ def test_newton_parametrization_round_trips(lam):
     assert np.all(np.abs(back - u) <= 4.0 * np.spacing(np.abs(u))), np.abs(back - u).max()
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e-9])
+@pytest.mark.parametrize("lam", TAU_LAMBDAS)
 def test_newton_parametrization_slope(lam):
     # U' matches a centered difference of U away from the kink at 0, and
     # is continuous at u_s and at the cap node
     p = ModelParams(beta_reg_lambda=lam)
     u_s, k, _, gap, tau_cap = biomass._tau_knots(p)
+    knots = [-50.0, 0.0, u_s, tau_cap, tau_cap + 5.0]
     tau = np.concatenate([
-        np.linspace(-50.0, -0.01, 40),
-        np.linspace(0.01, u_s - 0.01, 40),
-        np.linspace(u_s + 0.01, tau_cap - 0.01, 40),
-        np.linspace(tau_cap + 0.01, tau_cap + 5.0, 40),
+        np.linspace(a, b, 42)[1:-1] for a, b in zip(knots, knots[1:]) if b > a
     ])
     h = 1e-6
     fd = (biomass._u_of_tau(tau + h, p) - biomass._u_of_tau(tau - h, p)) / (2.0 * h)
@@ -355,6 +357,30 @@ def test_newton_parametrization_slope(lam):
     for knot, value in ((u_s, 1.0), (tau_cap, gap / k)):
         near = biomass._du_dtau(np.array([knot * (1 - 1e-13), knot * (1 + 1e-13)]), p)
         assert np.allclose(near, value, rtol=1e-11, atol=0.0)
+    # U is continuous and increasing, with no step larger than its slope
+    # bound allows: lambda below zero and at most 1 above
+    grid = np.linspace(-1.0, tau_cap + 1.0, 200001)
+    rise = np.diff(biomass._u_of_tau(grid, p))
+    assert np.all(rise > 0.0)
+    assert np.all(rise <= max(lam, 1.0) * np.diff(grid) + 1e-15), rise.max()
+
+
+def test_step_converges_with_lambda_above_the_log_branch():
+    # lambda = 0.2 puts the cap node at 0.8 u*, below 0.9 u*: a field with
+    # cells between the two still settles, and a warm start there is kept
+    p = ModelParams(beta_reg_lambda=0.2)
+    g = build_grid(2, (1.0, 1.0), (16, 16), ("left",))
+    ws = make_biomass_workspace(g, p)
+    cfg = BiomassStepConfig(dt=1e-3)
+    rng = np.random.default_rng(11)
+    u = ScalarField(g, rng.uniform(0.88, 0.95, g.cells))
+    w = ScalarField(g, rng.uniform(0.0, 1.0, g.cells))
+    out, rep = step_biomass(ws, u, w, VectorField.zeros(g), cfg)
+    assert rep.residual <= NEWTON_TOL
+    assert np.any((rep.iterate > 0.9) & (rep.iterate < 0.94))
+    again, rep2 = step_biomass(ws, u, w, VectorField.zeros(g), cfg, x0=rep.iterate)
+    assert rep2.newton_iters == 0
+    assert np.array_equal(again.values, out.values)
 
 
 def test_line_search_failure_names_growth_beyond_the_step():

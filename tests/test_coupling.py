@@ -314,8 +314,8 @@ def test_saturated_block_newton_stays_short(saturated_block):
 
 
 def test_saturated_block_newton_in_tau_halves_the_work(saturated_block):
-    # Newton on tau, where u and beta(u) have bounded slopes, stops
-    # crossing the surrogate's kinks: Newton on u itself took 88 iterations
+    # Newton on tau, where the surrogate's kinks are softened, halves
+    # the work: Newton on u itself took 88 iterations
     # and 9241 CG iterations on these 3 steps. The flow sees the same
     # biomass to the Newton tolerance, so every round's projection count,
     # and with them the Picard counts, are as they were

@@ -48,6 +48,7 @@ def test_solid_block_runs_on_a_small_grid(tmp_path):
         f" projection {total('projection iters per round')}"
     )
 
+
 def test_solid_block_refuses_a_grid_without_a_block(tmp_path):
     out = _script("solid_block.py", "--steps", "1", "--cells", "3", "--out-dir", str(tmp_path))
     assert out.returncode == 2
