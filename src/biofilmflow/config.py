@@ -88,6 +88,10 @@ class CouplingConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(
+                f"t_end / dt must be finite, got {self.t_end} / {self.dt}; dt is too small"
+            )
         if not 0 < self.picard_tol < math.inf:
             raise ConfigError(f"picard_tol must be positive and finite, got {self.picard_tol}")
         if not 0 <= self.picard_abs_floor < math.inf:

@@ -229,7 +229,7 @@ def picard_step(stepper, state, g, record=None):
         )
 
     if record is not None:
-        record.append(v_new, v_star, g, obs.values)
+        record.append(v_new, v_star, g, obs)
     new_state = SimState(t=state.t + cc.dt, u=u_new, w=w_new, v=v_new, P=pressure)
     kinetic_sq = ops.face_l2_sq(list(v_new.comps), vol)
     nutrient_sq = ops.scalar_l2_sq(w_new.values, vol)
@@ -260,7 +260,6 @@ def picard_step(stepper, state, g, record=None):
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),
         forcing_sq=ops.face_l2_sq(list(g.comps), vol),
         predict_iters=predict_iters,
-        pressure_residual=flow_rep.pressure_residual,
     )
     return new_state, diag
 

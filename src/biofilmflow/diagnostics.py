@@ -37,7 +37,8 @@ def invariant_report(state, params, obstacle=None, feas_tol=1e-8):
 
     Pure function of the inputs. margin > 0 means slack, margin < 0 a
     violation; `passed` compares against BOUND_TOL and feas_tol. When an
-    obstacle field is supplied the velocity feasibility and divergence
+    obstacle (the speed bound per cell, as ``flow.workspace_obstacle``
+    returns it) is supplied the velocity feasibility and divergence
     checks are included (feasibility threshold feas_tol * max obstacle).
     """
     checks = []
@@ -66,11 +67,11 @@ def invariant_report(state, params, obstacle=None, feas_tol=1e-8):
 
     if obstacle is not None:
         speed = ops.cell_norm(ops.center_average(state.v.comps))
-        excess = float(np.max(speed - obstacle.values))
-        tol = feas_tol * float(obstacle.values.max())
+        excess = float(np.max(speed - obstacle))
+        tol = feas_tol * float(obstacle.max())
         loc = None
         if excess > tol:
-            bad = np.argmax(speed - obstacle.values)
+            bad = np.argmax(speed - obstacle)
             loc = tuple(int(i) for i in np.unravel_index(bad, speed.shape))
         checks.append(InvariantCheck("speed_constraint", excess <= tol, -excess, loc))
 
@@ -116,7 +117,6 @@ class StepDiagnostics:
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
     predict_iters: int = 0
-    pressure_residual: float = 0.0
 
 
 CSV_COLUMNS = (

@@ -62,28 +62,24 @@ PREDICT_MAX_ITERS = 60
 
 @dataclass
 class FlowStepReport:
-    """dykstra_sweeps counts the iterations of the projection onto K,
-    Anderson-accelerated dual proximal gradient steps; the name is older
-    than the dual method. A projection started from
-    the previous coupling round's multipliers counts only the iterations
-    it needed from there: one where the obstacle is inactive, up to a
-    few hundred where it binds on a dense block. lam holds the final
+    """What ``project_K`` returns about one projection onto K.
+
+    dykstra_sweeps counts the iterations of the projection, Anderson-
+    accelerated dual proximal gradient steps. The name is older than the
+    dual method; it stays because perfbench/tracing.py reads the field by
+    name, so the two are renamed together. A projection started from the
+    previous coupling round's multipliers counts only the iterations it
+    needed from there: one where the obstacle is inactive, up to a few
+    hundred where it binds on a dense block. lam holds the final
     multipliers, one cell array per component. tight tells whether the
-    projection met FEAS_TOL and STEP_TOL, whatever tolerance it was
-    asked to stop at."""
+    projection met FEAS_TOL and STEP_TOL, whatever tolerance it was asked
+    to stop at."""
 
     dykstra_sweeps: int
     max_excess: float
     max_div: float
-    pressure_residual: float
     lam: list
     tight: bool
-
-
-@dataclass(frozen=True)
-class ObstacleField:
-    grid: object
-    values: np.ndarray = field(compare=False)
 
 
 @dataclass
@@ -199,10 +195,11 @@ def obstacle_density(u_values, cutoff, smoother, u_star):
 
 
 def workspace_obstacle(ws, u):
-    """Pointwise speed bound induced by a biomass field: its
-    ``obstacle_density`` pushed through the regularized speed law."""
+    """Pointwise speed bound r induced by a biomass field, one value per
+    cell: its ``obstacle_density`` pushed through the regularized speed
+    law."""
     dens = obstacle_density(u.values, ws.cutoff, ws.mollifier_eps, ws.params.u_star)
-    return ObstacleField(u.grid, speed_limit_reg(dens, ws.params))
+    return speed_limit_reg(dens, ws.params)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +248,6 @@ def _project_affine(comps, h, lam=None):
     return y, phi, rhs
 
 
-def _affine_residual(phi, rhs, h):
-    """Largest Poisson residual of the potential phi and the right-hand
-    side rhs that ``_project_affine`` returned."""
-    return float(np.abs(ops.neumann_laplacian_apply(phi, h) - rhs).max())
-
-
 def constraint_excess(comps, obs):
     return float(np.max(ops.cell_norm(ops.center_average(comps)) - obs))
 
@@ -270,7 +261,7 @@ def pressure_project(v, dt):
     grid = v.grid
     out, phi, rhs = _project_affine(list(v.comps), grid.h)
     scale = max(1.0, float(np.abs(phi).max()) / min(grid.h) ** 2)
-    residual = _affine_residual(phi, rhs, grid.h) / scale
+    residual = float(np.abs(ops.neumann_laplacian_apply(phi, grid.h) - rhs).max()) / scale
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt), residual
 
 
@@ -289,9 +280,9 @@ def _shrink_cells(z, obs):
     return [c * keep for c in z]
 
 
-def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
-    """Metric projection onto K(obs) by an Anderson-accelerated dual
-    proximal gradient.
+def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
+    """Metric projection onto K(r), r the speed bound per cell, by an
+    Anderson-accelerated dual proximal gradient.
 
     With M the face-to-center average and lam the per-cell multipliers
     of the speed balls, the primal point of lam is
@@ -314,9 +305,9 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     Multipliers returned by a projection of the same v onto a nearby
     obstacle are a good start. If G fixes the start bit for bit, x of
     the start is returned after one iteration. Returns (VectorField,
-    pressure ScalarField, info dict); info["sweeps"] counts the
-    iterations, info["increment"] is the last primal increment and
-    info["lam"] holds the final multipliers. Termination requires the
+    pressure ScalarField, FlowStepReport); the report counts the
+    iterations, holds the final multipliers and says whether the result
+    met FEAS_TOL and STEP_TOL. Termination requires the
     speed excess and the divergence to sit under feas_tol *and* the last
     primal increment to be below step_tol; plain feasibility is reached
     early by iterates that are still far from the projection, so it
@@ -328,10 +319,9 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     """
     grid = v.grid
     h = grid.h
-    r = obs.values
     if lam is None:
         lam = [np.zeros(r.shape) for _ in range(grid.dim)]
-    x, phi, rhs = _project_affine(v.comps, h, lam)
+    x, phi, _ = _project_affine(v.comps, h, lam)
     m = ops.center_average(x)
     f_prev = g_prev = hist = None
     best, cols = np.inf, 0
@@ -369,7 +359,7 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                 lam_new = [a - b for a, b in zip(g, corr)]
             best = min(best, fsq)
             f_prev, g_prev = f, g
-            x_new, phi, rhs = _project_affine(v.comps, h, lam_new)
+            x_new, phi, _ = _project_affine(v.comps, h, lam_new)
             m_new = ops.center_average(x_new)
         excess = float(np.max(ops.cell_norm(m_new) - r))
         if excess <= feas_tol or not np.isfinite(excess):
@@ -382,15 +372,14 @@ def project_K(v, obs, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                 )
             inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
             if dv <= feas_tol and inc <= step_tol:
-                info = {
-                    "sweeps": it + 1,
-                    "max_excess": excess,
-                    "max_div": dv,
-                    "increment": inc,
-                    "pressure_residual": _affine_residual(phi, rhs, h),
-                    "lam": lam_new,
-                }
-                return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), info
+                report = FlowStepReport(
+                    dykstra_sweeps=it + 1,
+                    max_excess=excess,
+                    max_div=dv,
+                    lam=lam_new,
+                    tight=excess <= FEAS_TOL and dv <= FEAS_TOL and inc <= STEP_TOL,
+                )
+                return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), report
         lam, x_prev, x, m = lam_new, x, x_new, m_new
     dv = float(np.abs(ops.divergence(x, h)).max())
     inc = max(float(np.abs(a - b).max()) for a, b in zip(x, x_prev))
@@ -480,35 +469,19 @@ def step_flow(ws, v_star, u, lam=None, tol=None):
     tol, when given, replaces FEAS_TOL and STEP_TOL as the projection's
     excess, divergence and increment bound; the report's tight flag
     still compares the result against FEAS_TOL and STEP_TOL.
-    Returns (VectorField, pressure ScalarField, FlowStepReport,
-    ObstacleField); the report's lam are the final multipliers, to start
+    Returns (VectorField, pressure ScalarField, FlowStepReport, obstacle
+    cell array); the report's lam are the final multipliers, to start
     the next coupling round of the same step from. The pressure collects
     the affine multipliers of the projection scaled by 1/dt, mean-zero by
     construction.
     """
-    obs = workspace_obstacle(ws, u)
+    r = workspace_obstacle(ws, u)
     feas_tol, step_tol = (FEAS_TOL, STEP_TOL) if tol is None else (tol, tol)
-    v_new, pressure, info = project_K(
-        VectorField(ws.grid, tuple(v_star)),
-        obs,
-        ws.dt,
-        feas_tol=feas_tol,
-        step_tol=step_tol,
-        lam=lam,
+    v_new, pressure, report = project_K(
+        VectorField(ws.grid, tuple(v_star)), r, ws.dt,
+        feas_tol=feas_tol, step_tol=step_tol, lam=lam,
     )
-    report = FlowStepReport(
-        dykstra_sweeps=info["sweeps"],
-        max_excess=info["max_excess"],
-        max_div=info["max_div"],
-        pressure_residual=info["pressure_residual"],
-        lam=info["lam"],
-        tight=(
-            info["max_excess"] <= FEAS_TOL
-            and info["max_div"] <= FEAS_TOL
-            and info["increment"] <= STEP_TOL
-        ),
-    )
-    return v_new, pressure, report, obs
+    return v_new, pressure, report, r
 
 
 def convection_form(a, b, c, grid):
@@ -518,14 +491,15 @@ def convection_form(a, b, c, grid):
 
 
 def make_feasible(eta, obs_new, obs_old, mu):
-    """Shrink a field feasible for obs_old into K(obs_new).
+    """Shrink a field feasible for obs_old into K(obs_new), both obstacles
+    cell arrays.
 
     Uses the uniform factor (1 - s/mu) with s the sup drift between the
     two obstacles. Valid whenever the old obstacle is at least mu on
     the cells where eta is active (the construction the compactness
     argument uses); collapses, hence errors, when s >= mu.
     """
-    s = float(np.abs(obs_new.values - obs_old.values).max())
+    s = float(np.abs(obs_new - obs_old).max())
     if s >= mu:
         raise ValueError(
             f"obstacle drift {s:.3e} >= mu {mu:.3e}: feasibility scaling collapses"
@@ -579,11 +553,11 @@ class FlowTrajectory:
     def start(self, v0):
         self.v = [VectorField(self.grid, tuple(c.copy() for c in v0.comps))]
 
-    def append(self, v_new, v_star, g, obs_values):
+    def append(self, v_new, v_star, g, obstacle):
         self.v.append(VectorField(self.grid, tuple(c.copy() for c in v_new.comps)))
         self.v_star.append(tuple(c.copy() for c in v_star))
         self.g.append(tuple(c.copy() for c in g.comps))
-        self.obstacles.append(obs_values.copy())
+        self.obstacles.append(obstacle.copy())
 
 
 def vi_residual(traj, etas, feas_tol=1e-7):

@@ -66,10 +66,17 @@ class Grid:
             raise ConfigError("extents and cells must have equal length")
         if len(cells) not in (2, 3):
             raise ConfigError("grid must be 2D or 3D")
-        if any(e <= 0 for e in extents):
-            raise ConfigError("extents must be positive")
         if any(c < 1 for c in cells):
             raise ConfigError("cell counts must be >= 1")
+        # the operators divide by h^2: h^2 and 1/h^2 must be finite and
+        # positive (nan and inf fail the comparisons)
+        for e, c in zip(extents, cells):
+            hh = (e / c) * (e / c)
+            if not (e > 0 and 0 < hh < math.inf and 1 / hh < math.inf):
+                raise ConfigError(
+                    f"extents must be finite and positive, with 1/h^2 a finite "
+                    f"positive float on {cells} cells; got {extents}"
+                )
         for name in self.gamma0_edges:
             edge_axis_side(name, len(cells))
 

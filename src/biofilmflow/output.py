@@ -84,7 +84,10 @@ def _write_cell_vectors(path, name, grid, centered, step):
 
 
 def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):
-    """Write the requested fields of a state; returns the paths."""
+    """Write the requested fields of a state; returns the paths.
+
+    obstacle, the speed bound per cell, is needed only for the
+    "obstacle" field."""
     paths = []
     for field in fields:
         path = os.path.join(out_dir, f"{field}_{step:06d}.vtk")
@@ -93,7 +96,7 @@ def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):
         elif field == "obstacle":
             if obstacle is None:
                 raise ValueError("snapshot of the obstacle requested but none supplied")
-            _write_cell_scalars(path, "obstacle", grid, obstacle.values, step)
+            _write_cell_scalars(path, "obstacle", grid, obstacle, step)
         elif field == "v":
             centered = ops.center_average(state.v.comps)
             _write_cell_vectors(path, "velocity", grid, centered, step)

@@ -24,7 +24,6 @@ from biofilmflow.config import initial_state, parse_config
 from biofilmflow.constitutive import ModelParams, speed_limit
 from biofilmflow.coupling import CouplingConfig, SimState, make_stepper, picard_step, run
 from biofilmflow.flow import (
-    ObstacleField,
     convection_form,
     flow_energy_check,
     make_feasible,
@@ -254,9 +253,9 @@ def test_projection_matches_dense_qp():
         rng = np.random.default_rng(40 + s)
         comps = [rng.standard_normal(g.face_shape(ax)) for ax in range(2)]
         obs = rng.uniform(0.25, 0.6, g.cells)
-        vp, _pressure, info = project_K(
+        vp, _pressure, rep = project_K(
             VectorField(g, tuple(comps)),
-            ObstacleField(g, obs),
+            obs,
             dt=1.0,
             feas_tol=1e-10,
             step_tol=1e-12,
@@ -264,7 +263,7 @@ def test_projection_matches_dense_qp():
         ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
         gap = max(np.abs(a - b).max() for a, b in zip(vp.comps, ref))
         worst_gap = max(worst_gap, gap)
-        worst_feas = max(worst_feas, info["max_excess"], info["max_div"])
+        worst_feas = max(worst_feas, rep.max_excess, rep.max_div)
         assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
     ok = worst_gap < 1e-6 and worst_feas <= 1e-10
     _verdict(
@@ -554,12 +553,7 @@ def test_variational_inequality_residuals():
         scale = 1.0 + max(ops.face_l2_sq(list(v.comps), g.cell_volume) for v in traj.v)
 
         def feasible_step(eta, m):
-            out, _ = make_feasible(
-                eta,
-                ObstacleField(g, traj.obstacles[m]),
-                ObstacleField(g, traj.obstacles[m - 1]),
-                mu,
-            )
+            out, _ = make_feasible(eta, traj.obstacles[m], traj.obstacles[m - 1], mu)
             return out
 
         chain = [VectorField(g, tuple(0.5 * c for c in traj.v[1].comps))]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biofilmflow
+from biofilmflow import coupling
 from biofilmflow.cli import main
 
 CONFIG = """
@@ -180,6 +181,23 @@ def test_overflowing_speeds_exit_three_at_once(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_invariant_violation_exits_four(tmp_path, capsys, monkeypatch):
+    # the real check against a zero speed bound, which the swirl-driven
+    # flow exceeds after its first step
+    check = coupling.invariant_report
+
+    def at_rest(state, params, obstacle, feas_tol):
+        return check(state, params, obstacle=np.zeros_like(obstacle), feas_tol=feas_tol)
+
+    monkeypatch.setattr(coupling, "invariant_report", at_rest)
+    cfg = _write_cfg(tmp_path)
+    assert main(["--config", str(cfg), "--steps", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: invariant violated after step 1: speed_constraint")
+    # the failed step's row was written before the check
+    assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
+
+
 def test_infeasible_initial_data_exits_two(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[initial]\nu = uniform value=2.0\n")
@@ -217,6 +235,28 @@ def test_steps_too_large_for_a_float_is_a_config_error(tmp_path):
     res = _cli("--config", str(cfg), "--steps", "1" + "0" * 400, "--validate-only")
     assert res.returncode == 2
     assert "--steps" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("extent", ["nan", "1e200", "1e-300", "inf"])
+def test_extreme_extents_are_a_config_error(tmp_path, extent):
+    # a spacing whose 1/h^2 is not a finite positive float would break the
+    # mollifier, the sine eigenvalues or the Laplacian: refuse it up front
+    path = tmp_path / "run.ini"
+    path.write_text(f"[grid]\ncells = 8 8\nextents = {extent} 1.0\n")
+    res = _cli("--config", str(path), "--validate-only")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: extents")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("mode", [["--validate-only"], ["--out-dir", "none"]])
+def test_dt_too_small_to_count_steps_is_a_config_error(tmp_path, mode):
+    path = tmp_path / "run.ini"
+    path.write_text("[grid]\ncells = 8 8\n\n[time]\ndt = 1e-320\nt_end = 1\n")
+    res = _cli("--config", str(path), *mode)
+    assert res.returncode == 2, res.stderr
+    assert "t_end / dt" in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -1,5 +1,7 @@
 """Tests for initial-data validation and the per-step coupling loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,44 @@ def test_run_final_state_passes_invariants(params, tmp_path):
         state, cfg.params, obstacle=workspace_obstacle(stepper.flow_ws, state.u)
     )
     assert all(c.passed for c in rep.checks)
+
+
+def _failed(rep):
+    return {c.name: c.location for c in rep.failures()}
+
+
+def test_invariant_report_flags_each_violation(params):
+    # negative controls: a valid state passes, and each defect fails
+    # exactly its own check
+    g, u, w, v = _state_fields(params, cells=(8, 8))
+    state = SimState(t=0.0, u=u, w=w, v=v, P=ScalarField.zeros(g))
+    speed = ops.cell_norm(ops.center_average(v.comps))
+    obstacle = speed + 1.0
+    assert invariant_report(state, params, obstacle=obstacle).ok
+
+    # one cell whose speed exceeds its bound
+    assert speed[3, 5] > 0.0
+    tight = obstacle.copy()
+    tight[3, 5] = 0.5 * speed[3, 5]
+    assert _failed(invariant_report(state, params, obstacle=tight)) == {
+        "speed_constraint": (3, 5)
+    }
+
+    # a divergent field
+    vx = v.comps[0].copy()
+    vx[4, 2] += 1e-3
+    leaky = replace(state, v=VectorField(g, (vx, v.comps[1])))
+    assert _failed(invariant_report(leaky, params, obstacle=obstacle + 1e-3)) == {
+        "divergence": None
+    }
+
+    # biomass below zero
+    low = u.values.copy()
+    low[2, 6] = -0.01
+    negative = replace(state, u=ScalarField(g, low))
+    assert _failed(invariant_report(negative, params, obstacle=obstacle)) == {
+        "biomass_bounds": (2, 6)
+    }
 
 
 def test_run_records_trajectory(tmp_path):

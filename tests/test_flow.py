@@ -24,7 +24,6 @@ from biofilmflow.constitutive import speed_limit, speed_limit_reg
 from biofilmflow.errors import ConfigError, NonConvergenceError, StabilityError
 from biofilmflow.flow import (
     FlowTrajectory,
-    ObstacleField,
     constraint_excess,
     convection_form,
     flow_energy_check,
@@ -60,7 +59,7 @@ def test_obstacle_from_clear_fluid(params):
     ws, g = _workspace(params)
     obs = workspace_obstacle(ws, ScalarField.zeros(g))
     top = speed_limit_reg(0.0, params)
-    assert np.allclose(obs.values, top, rtol=0, atol=1e-15)
+    assert np.allclose(obs, top, rtol=0, atol=1e-15)
     # clear fluid: the bound sits at the regularized cap, near p0(mu)
     assert top == pytest.approx(speed_limit(params.mu, params), rel=1e-6)
 
@@ -72,9 +71,9 @@ def test_obstacle_solid_block_floor(params):
     obs = workspace_obstacle(ws, u)
     # deeper than the smoothing radius the density is exactly u*, so the
     # bound is the regularized floor mu
-    inner = obs.values[14:18, 14:18]
+    inner = obs[14:18, 14:18]
     assert np.allclose(inner, params.mu, rtol=0, atol=1e-12)
-    assert obs.values.min() >= params.mu - 1e-12
+    assert obs.min() >= params.mu - 1e-12
 
 
 def test_obstacle_monotone_in_biomass(params):
@@ -84,7 +83,7 @@ def test_obstacle_monotone_in_biomass(params):
     u2 = ScalarField(g, np.minimum(u1.values + rng.uniform(0.0, 0.4, g.cells), params.u_star))
     o1 = workspace_obstacle(ws, u1)
     o2 = workspace_obstacle(ws, u2)
-    assert np.all(o2.values <= o1.values + 1e-12)
+    assert np.all(o2 <= o1 + 1e-12)
 
 
 # --- convection form ---------------------------------------------------------
@@ -378,10 +377,10 @@ def test_project_affine_equals_the_composed_projection(cells):
 def test_project_K_fixes_feasible_input(params):
     g = Grid((1.0, 1.0), (12, 12))
     v = stream_field_2d(g, np.random.default_rng(7), amplitude=0.01)
-    obs = ObstacleField(g, np.full(g.cells, 9.0))
-    out, pressure, info = project_K(v, obs, dt=1e-3)
+    obs = np.full(g.cells, 9.0)
+    out, pressure, rep = project_K(v, obs, dt=1e-3)
     assert max(np.abs(a - b).max() for a, b in zip(out.comps, v.comps)) < 1e-14
-    assert info["sweeps"] <= 2
+    assert rep.dykstra_sweeps <= 2
     assert np.abs(pressure.values).max() < 1e-12
 
 
@@ -390,8 +389,8 @@ def test_project_K_with_loose_obstacle_is_leray(params):
     rng = np.random.default_rng(8)
     comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2))
     v = VectorField(g, comps)
-    obs = ObstacleField(g, np.full(g.cells, 1e6))
-    got, p_got, info = project_K(v, obs, dt=1e-3)
+    obs = np.full(g.cells, 1e6)
+    got, p_got, rep = project_K(v, obs, dt=1e-3)
     ref, p_ref, _ = pressure_project(v, dt=1e-3)
     assert max(np.abs(a - b).max() for a, b in zip(got.comps, ref.comps)) < 1e-10
     assert np.abs(p_got.values - p_ref.values).max() < 1e-7 * np.abs(p_ref.values).max()
@@ -423,7 +422,7 @@ def test_project_K_that_cannot_settle_hits_the_iteration_cap(params, monkeypatch
     rng = np.random.default_rng(14)
     v = VectorField(g, tuple(1e8 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     with pytest.raises(NonConvergenceError, match="did not settle in 30 iterations"):
-        project_K(v, ObstacleField(g, np.full(g.cells, 1e12)), dt=1.0)
+        project_K(v, np.full(g.cells, 1e12), dt=1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -448,18 +447,18 @@ def _check_against_dense_oracle(cells, first_seed, warm=False):
         obs = rng.uniform(0.25, 0.6, g.cells)
         lam = None
         if warm:
-            other = ObstacleField(g, rng.uniform(0.05, 0.2, g.cells))
-            lam = project_K(VectorField(g, comps), other, dt=1.0)[2]["lam"]
-        out, _, info = project_K(
-            VectorField(g, comps), ObstacleField(g, obs), dt=1.0,
+            other = rng.uniform(0.05, 0.2, g.cells)
+            lam = project_K(VectorField(g, comps), other, dt=1.0)[2].lam
+        out, _, rep = project_K(
+            VectorField(g, comps), obs, dt=1.0,
             feas_tol=1e-10, step_tol=1e-12, lam=lam,
         )
         ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
         assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
         gap = max(np.abs(a - b).max() for a, b in zip(out.comps, ref))
         assert gap < 1e-6
-        assert info["max_excess"] <= 1e-10
-        assert info["max_div"] <= 1e-10
+        assert rep.max_excess <= 1e-10
+        assert rep.max_div <= 1e-10
 
 
 def test_project_K_matches_dense_oracle(params):
@@ -481,12 +480,12 @@ def test_project_K_restarts_from_its_own_multipliers(params):
     g = Grid((1.0, 1.0), (12, 12))
     rng = np.random.default_rng(9)
     v = VectorField(g, tuple(0.6 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
-    obs = ObstacleField(g, np.full(g.cells, 0.3))
-    first, p_first, info = project_K(v, obs, dt=1.0)
-    assert info["sweeps"] > 2  # the obstacle binds
-    assert len(info["lam"]) == 2 and info["lam"][0].shape == g.cells
-    again, p_again, info_again = project_K(v, obs, dt=1.0, lam=info["lam"])
-    assert info_again["sweeps"] <= 2
+    obs = np.full(g.cells, 0.3)
+    first, p_first, rep = project_K(v, obs, dt=1.0)
+    assert rep.dykstra_sweeps > 2  # the obstacle binds
+    assert len(rep.lam) == 2 and rep.lam[0].shape == g.cells
+    again, p_again, rep_again = project_K(v, obs, dt=1.0, lam=rep.lam)
+    assert rep_again.dykstra_sweeps <= 2
     assert max(np.abs(a - b).max() for a, b in zip(first.comps, again.comps)) < 1e-9
     assert np.abs(p_first.values - p_again.values).max() < 1e-9
     # zero multipliers are the cold start, bit for bit
@@ -502,7 +501,7 @@ def test_project_K_certified_where_a_block_binds(params):
     v = stream_field_2d(g, np.random.default_rng(3), amplitude=3.0)
     obs = np.full(g.cells, 9.0)
     obs[6:10, 6:10] = 0.035
-    out, _, info = project_K(v, ObstacleField(g, obs), dt=1.0)
+    out, _, rep = project_K(v, obs, dt=1.0)
     shapes, offs, ntot = face_layout(g.cells)
     G, E = build_dense_constraints(g.cells, g.h)
     cert = kkt_certificate(
@@ -510,7 +509,7 @@ def test_project_K_certified_where_a_block_binds(params):
         G[:-1], E, obs.ravel(),
     )
     assert cert["stat"] < 1e-7, cert
-    assert info["sweeps"] <= 400, info["sweeps"]
+    assert rep.dykstra_sweeps <= 400, rep.dykstra_sweeps
 
 
 def test_project_K_inactive_is_one_solve(params, monkeypatch):
@@ -528,9 +527,9 @@ def test_project_K_inactive_is_one_solve(params, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(ops, "poisson_neumann", counted)
-    out, pressure, info = project_K(v, ObstacleField(g, np.full(g.cells, 1e6)), dt=1e-3)
+    out, pressure, rep = project_K(v, np.full(g.cells, 1e6), dt=1e-3)
     assert len(calls) == 1
-    assert info["sweeps"] == 1
+    assert rep.dykstra_sweeps == 1
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out.comps, ref.comps))
     assert pressure.values.tobytes() == p_ref.values.tobytes()
 
@@ -542,7 +541,7 @@ def test_projection_variational_characterization(params):
     rng = np.random.default_rng(9)
     comps = tuple(0.6 * rng.standard_normal(g.face_shape(ax)) for ax in range(2))
     v = VectorField(g, comps)
-    obs = ObstacleField(g, np.full(g.cells, 0.3))
+    obs = np.full(g.cells, 0.3)
     vbar, _, _ = project_K(v, obs, dt=1.0, feas_tol=1e-11, step_tol=1e-13)
     resid = [a - b for a, b in zip(v.comps, vbar.comps)]
     for seed in range(5):
@@ -567,7 +566,7 @@ def test_step_flow_rest_state(params):
     assert all(np.all(c == 0.0) for c in v.comps)
     assert np.abs(pressure.values).max() == 0.0
     assert rep.max_excess <= 0.0
-    assert np.allclose(obs.values, speed_limit_reg(0.0, params))
+    assert np.allclose(obs, speed_limit_reg(0.0, params))
 
 
 def test_step_flow_solid_block_caps_speed(params):
@@ -627,19 +626,19 @@ def test_make_feasible_examples(params):
     eta = stream_field_2d(g, np.random.default_rng(13), amplitude=1.0)
     speed = ops.cell_norm(ops.center_average(eta.comps)).max()
     eta = VectorField(g, tuple(0.3 / speed * c for c in eta.comps))
-    obs_old = ObstacleField(g, np.full(g.cells, 0.3))
+    obs_old = np.full(g.cells, 0.3)
 
     same, factor = make_feasible(eta, obs_old, obs_old, params.mu)
     assert factor == 1.0
     assert all(np.array_equal(a, b) for a, b in zip(same.comps, eta.comps))
 
     s = 0.4 * params.mu
-    obs_new = ObstacleField(g, obs_old.values - s)
+    obs_new = obs_old - s
     out, factor = make_feasible(eta, obs_new, obs_old, params.mu)
     assert factor == pytest.approx(1.0 - s / params.mu, rel=1e-14)
-    assert constraint_excess(list(out.comps), obs_new.values) <= 1e-12
+    assert constraint_excess(list(out.comps), obs_new) <= 1e-12
 
-    too_far = ObstacleField(g, obs_old.values - 2.0 * params.mu)
+    too_far = obs_old - 2.0 * params.mu
     with pytest.raises(ValueError):
         make_feasible(eta, too_far, obs_old, params.mu)
 
@@ -655,7 +654,7 @@ def _recorded_trajectory(params, n_steps=5):
     traj.start(v)
     for _ in range(n_steps):
         v, _, _, obs, star, _ = _full_step(ws, v, u, gforce)
-        traj.append(v, star, gforce, obs.values)
+        traj.append(v, star, gforce, obs)
     return traj, g
 
 

@@ -163,7 +163,7 @@ def test_vtk_obstacle_needs_the_field(tmp_path):
     grid, state = _grid_and_state()
     with pytest.raises(ValueError, match="obstacle"):
         write_snapshot(state, grid, tmp_path, 0, ("obstacle",))
-    obs = ScalarField(grid, np.full(grid.cells, 3.0))
+    obs = np.full(grid.cells, 3.0)
     write_snapshot(state, grid, tmp_path, 0, ("obstacle",), obstacle=obs)
     _, _, _, name, data = _parse_vtk(tmp_path / "obstacle_000000.vtk")
     assert name == "obstacle"

@@ -54,3 +54,21 @@ def test_solid_block_refuses_a_grid_without_a_block(tmp_path):
     assert out.returncode == 2
     assert "--cells must be at least 4" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_random_ensemble_runs_one_member():
+    out = _script("random_ensemble.py", "--runs", "1", "--cells", "16", "--steps", "2")
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.split()[0] == "seed" and header.split()[-1] == "picard"
+    assert len(rows) == 1
+    assert len(rows[0].split()) == len(header.split())
+
+
+def test_mu_refinement_compares_two_mus():
+    out = _script("mu_refinement.py", "--mus", "0.07", "0.035", "--cells", "16", "--steps", "2")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["mu = 0.07 ...", "mu = 0.035 ..."]
+    gap = re.fullmatch(r"\s*\|\| u_0\.035 - u_0\.07 \|\|_L2\(Q\) = (\S+)", lines[-1])
+    assert gap and 0.0 <= float(gap.group(1)) < 1.0, lines[-1]
