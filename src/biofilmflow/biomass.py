@@ -333,17 +333,8 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
         x, tau, g_vec, res = x_try, tau_try, g_try, res_try
         history.append(res)
 
-    pre_min = float(x.min())
-    pre_max = float(x.max())
-    clamped = np.clip(x, 0.0, p.u_star)
-    clamp_mass = float(np.abs(clamped - x).sum() * grid.cell_volume)
+    clamped, ledger = ops.clamp_ledger(x, p.u_star, grid.cell_volume)
     report = BiomassStepReport(
-        newton_iters=it,
-        krylov_iters=krylov_iters,
-        residual=res,
-        pre_clamp_min=pre_min,
-        pre_clamp_max=pre_max,
-        clamp_mass=clamp_mass,
-        iterate=x,
+        newton_iters=it, krylov_iters=krylov_iters, residual=res, iterate=x, **ledger
     )
     return ScalarField(grid, clamped), report

@@ -84,6 +84,7 @@ def main(argv=None):
     from .coupling import run
     from .errors import ConfigError, InvariantError, NonConvergenceError
 
+    cfg = None
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -123,6 +124,10 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        cells = "x".join(map(str, cfg.grid.cells)) if cfg else "configured"
+        print(f"config error: the {cells} grid does not fit in memory: {exc}", file=sys.stderr)
+        return 2
 
     last = diags[-1] if diags else None
     if last is None:

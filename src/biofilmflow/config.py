@@ -1,9 +1,10 @@
 """INI-style run configuration: parsing, validation, canonical echo.
 
-Sections and keys are fixed; anything unrecognized is an error rather
-than a silently ignored typo. parse -> print -> parse is a fixed point
-(floats are emitted with shortest round-trip repr, preset strings are
-kept verbatim).
+Sections and keys are fixed, and listed once, in _SECTIONS; anything
+unrecognized is an error rather than a silently ignored typo. parse ->
+print -> parse is a fixed point (floats are emitted with shortest
+round-trip repr, preset strings are kept verbatim, and a value that
+would not read back as itself is refused).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -18,24 +20,6 @@ from .constitutive import ModelParams, validate_params
 from .errors import ConfigError
 from .grid import ScalarField, build_grid
 from .presets import build_scalar, build_vector
-
-_MODEL_KEYS = {
-    "nu": "nu",
-    "b": "b",
-    "u_star": "u_star",
-    "delta0": "delta0",
-    "eps": "eps",
-    "mu": "mu",
-    "k1": "k1",
-    "k2": "k2",
-    "c_d": "c_d",
-    "c_d_prime": "c_d_prime",
-    "v_max": "v_max",
-    "kappa": "kappa",
-    "alpha": "alpha_exp",
-    "gamma": "gamma_exp",
-    "beta_reg_lambda": "beta_reg_lambda",
-}
 
 _SNAPSHOT_FIELDS = ("u", "w", "v", "P", "obstacle")
 
@@ -107,23 +91,15 @@ class CouplingConfig:
 @dataclass(frozen=True, kw_only=True)
 class SimConfig(CouplingConfig):
     """A whole run: the coupling settings, checked on construction, plus
-    the grid, the model, the output and the initial data."""
+    the grid, the model, the output and the initial data. The horizon
+    defaults are those of a config text that sets none."""
 
+    dt: float = 1e-3
+    t_end: float = 0.5
     grid: object
     params: ModelParams
     output: OutputSpec = OutputSpec()
     initial: InitialSpec = InitialSpec()
-
-
-def _get(section, key, conv, default, used):
-    used.add(key)
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value {raw!r} for {key}: {exc}") from None
 
 
 def _floats(raw):
@@ -138,9 +114,95 @@ def _names(raw):
     return tuple(str(raw).split())
 
 
+def _joined(values):
+    return " ".join(map(str, values))
+
+
 def parse_out_dir(text):
     """An out_dir setting as the run uses it: the word none turns output off."""
     return None if text == "none" else text
+
+
+def _grid(dim=2, extents=None, cells=None, gamma0_edges=("left",)):
+    """The [grid] section's grid; the box and cell defaults follow dim."""
+    if dim not in (2, 3):
+        raise ConfigError(f"grid must be 2D or 3D, got dim = {dim}")
+    return build_grid(
+        dim,
+        (1.0,) * dim if extents is None else extents,
+        (64,) * dim if cells is None else cells,
+        gamma0_edges,
+    )
+
+
+def _params(**values):
+    params = ModelParams(**values)
+    validate_params(params)
+    return params
+
+
+def _key(name, parse=float, show=str, attr=None):
+    """One INI key: (key, the attribute it sets, read, print)."""
+    return name, attr or name, parse, show
+
+
+# Every setting once: per INI section, the SimConfig field its object
+# fills ("" for SimConfig's own fields), the builder of that object and
+# the keys. Each default is that of the dataclass the attribute belongs
+# to ([grid]'s: _grid's). Sections are read and printed in this order.
+_SECTIONS = {
+    "grid": ("grid", _grid, (
+        _key("dim", int),
+        _key("extents", _floats, _joined),
+        _key("cells", _ints, _joined),
+        _key("gamma0", _names, lambda edges: _joined(sorted(edges)), "gamma0_edges"),
+    )),
+    "model": ("params", _params, (
+        *map(_key, ("nu", "b", "u_star", "delta0", "eps", "mu", "k1", "k2")),
+        *map(_key, ("c_d", "c_d_prime", "v_max", "kappa")),
+        _key("alpha", attr="alpha_exp"),
+        _key("gamma", attr="gamma_exp"),
+        _key("beta_reg_lambda"),
+    )),
+    "time": ("", None, (_key("t_end"), _key("dt"))),
+    "coupling": ("", None, (
+        _key("picard_tol"),
+        _key("picard_abs_floor"),
+        _key("picard_max", int),
+        _key("picard_min_iters", int),
+    )),
+    "output": ("output", OutputSpec, (
+        _key("out_dir", parse_out_dir, lambda d: "none" if d is None else d),
+        _key("snapshot_every", int),
+        _key("series_name", str),
+        _key("snapshot_fields", _names, _joined),
+    )),
+    "initial": ("initial", InitialSpec, (
+        *(_key(name, str) for name in ("u", "w", "v", "g")),
+        _key("seed", int),
+    )),
+}
+
+# what configparser (comments start at # or ; after whitespace, values
+# are stripped) and a text-mode file read (lines end at \n or \r) would
+# not give back
+_UNREADABLE = re.compile(r"^\s|\s$|[\n\r]|(^|\s)[#;]")
+
+
+def _read_section(cp, name, keys):
+    """The keys a section sets, converted, as {attribute: value}."""
+    sec = cp[name] if cp.has_section(name) else {}
+    values = {}
+    for key, attr, parse, _ in keys:
+        if key in sec:
+            try:
+                values[attr] = parse(sec[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value {sec[key]!r} for {key}: {exc}") from None
+    unknown = set(sec) - {key for key, *_ in keys}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{name}]")
+    return values
 
 
 def parse_config(text):
@@ -154,90 +216,18 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    known_sections = {"grid", "model", "time", "coupling", "output", "initial"}
-    extra = set(cp.sections()) - known_sections
+    extra = set(cp.sections()) - set(_SECTIONS)
     if extra:
         raise ConfigError(f"unknown config section(s) {sorted(extra)}")
 
-    def section(name):
-        return cp[name] if cp.has_section(name) else {}
-
-    def check_leftovers(name, used):
-        sec = section(name)
-        unknown = set(sec.keys()) - used
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{name}]")
-
-    used = set()
-    sec = section("grid")
-    dim = _get(sec, "dim", int, 2, used)
-    extents = _get(sec, "extents", _floats, tuple([1.0] * dim), used)
-    cells = _get(sec, "cells", _ints, tuple([64] * dim), used)
-    gamma0 = _get(sec, "gamma0", _names, ("left",), used)
-    check_leftovers("grid", used)
-    grid = build_grid(dim, extents, cells, gamma0)
-
-    used = set()
-    sec = section("model")
-    kwargs = {}
-    defaults = ModelParams()
-    for key, attr in _MODEL_KEYS.items():
-        kwargs[attr] = _get(sec, key, float, getattr(defaults, attr), used)
-    check_leftovers("model", used)
-    params = ModelParams(**kwargs)
-    validate_params(params)
-
-    used = set()
-    sec = section("time")
-    t_end = _get(sec, "t_end", float, 0.5, used)
-    dt = _get(sec, "dt", float, 1e-3, used)
-    check_leftovers("time", used)
-
-    used = set()
-    sec = section("coupling")
-    picard_tol = _get(sec, "picard_tol", float, 1e-9, used)
-    picard_abs_floor = _get(sec, "picard_abs_floor", float, 1e-13, used)
-    picard_max = _get(sec, "picard_max", int, 40, used)
-    picard_min_iters = _get(sec, "picard_min_iters", int, 1, used)
-    check_leftovers("coupling", used)
-
-    used = set()
-    sec = section("output")
-    out_dir = parse_out_dir(_get(sec, "out_dir", str, "out", used))
-    snapshot_every = _get(sec, "snapshot_every", int, 100, used)
-    series_name = _get(sec, "series_name", str, "series.csv", used)
-    snap_fields = _get(sec, "snapshot_fields", _names, ("u", "w", "v", "P"), used)
-    check_leftovers("output", used)
-    output = OutputSpec(
-        out_dir=out_dir,
-        snapshot_every=snapshot_every,
-        series_name=series_name,
-        snapshot_fields=tuple(snap_fields),
-    )
-
-    used = set()
-    sec = section("initial")
-    initial = InitialSpec(
-        u=_get(sec, "u", str, InitialSpec.u, used),
-        w=_get(sec, "w", str, InitialSpec.w, used),
-        v=_get(sec, "v", str, InitialSpec.v, used),
-        g=_get(sec, "g", str, InitialSpec.g, used),
-        seed=_get(sec, "seed", int, 0, used),
-    )
-    check_leftovers("initial", used)
-
-    return SimConfig(
-        grid=grid,
-        params=params,
-        t_end=t_end,
-        dt=dt,
-        picard_tol=picard_tol,
-        picard_abs_floor=picard_abs_floor,
-        picard_max=picard_max,
-        picard_min_iters=picard_min_iters,
-        output=output,
-        initial=initial,
-    )
+    fields = {}
+    for name, (field, build, keys) in _SECTIONS.items():
+        values = _read_section(cp, name, keys)
+        if field:
+            fields[field] = build(**values)
+        else:
+            fields.update(values)
+    return SimConfig(**fields)
 
 
 def load_config(path):
@@ -250,56 +240,25 @@ def load_config(path):
 
 
 def print_config(cfg):
-    """Canonical text form; parse(print_config(parse(text))) is stable."""
+    """Canonical text form; parse(print_config(parse(text))) is stable.
+
+    A value that would not read back as itself, such as text with a
+    newline, edge whitespace or a comment mark after a space, is a
+    ConfigError naming its key.
+    """
     out = io.StringIO()
-    g = cfg.grid
-    p = cfg.params
-
-    def emit(section, pairs):
-        out.write(f"[{section}]\n")
-        for key, val in pairs:
-            out.write(f"{key} = {val}\n")
+    for name, (field, _, keys) in _SECTIONS.items():
+        owner = getattr(cfg, field) if field else cfg
+        out.write(f"[{name}]\n")
+        for key, attr, _, show in keys:
+            text = show(getattr(owner, attr))
+            if _UNREADABLE.search(text):
+                raise ConfigError(
+                    f"[{name}] {key} = {text!r} would not read back as itself "
+                    f"from the printed config"
+                )
+            out.write(f"{key} = {text}\n")
         out.write("\n")
-
-    emit(
-        "grid",
-        [
-            ("dim", g.dim),
-            ("extents", " ".join(repr(x) for x in g.extents)),
-            ("cells", " ".join(str(n) for n in g.cells)),
-            ("gamma0", " ".join(sorted(g.gamma0_edges))),
-        ],
-    )
-    emit("model", [(key, repr(getattr(p, attr))) for key, attr in _MODEL_KEYS.items()])
-    emit("time", [("t_end", repr(cfg.t_end)), ("dt", repr(cfg.dt))])
-    emit(
-        "coupling",
-        [
-            ("picard_tol", repr(cfg.picard_tol)),
-            ("picard_abs_floor", repr(cfg.picard_abs_floor)),
-            ("picard_max", cfg.picard_max),
-            ("picard_min_iters", cfg.picard_min_iters),
-        ],
-    )
-    emit(
-        "output",
-        [
-            ("out_dir", cfg.output.out_dir if cfg.output.out_dir is not None else "none"),
-            ("snapshot_every", cfg.output.snapshot_every),
-            ("series_name", cfg.output.series_name),
-            ("snapshot_fields", " ".join(cfg.output.snapshot_fields)),
-        ],
-    )
-    emit(
-        "initial",
-        [
-            ("u", cfg.initial.u),
-            ("w", cfg.initial.w),
-            ("v", cfg.initial.v),
-            ("g", cfg.initial.g),
-            ("seed", cfg.initial.seed),
-        ],
-    )
     return out.getvalue()
 
 

@@ -136,7 +136,7 @@ def check_initial_data(u0, w0, v0, params):
     dv = float(np.abs(ops.divergence(list(v0.comps), grid.h)).max())
     vmax = float(max(np.abs(c).max() for c in v0.comps))
     if dv > INITIAL_DIV_TOL * (vmax / min(grid.h) + 1.0):
-        v0, _, _ = pressure_project(v0, dt=1.0)
+        v0, _ = pressure_project(v0, dt=1.0)
 
     dens = obstacle_density(
         uv, build_cutoff(grid, params.mu), mollifier(params.eps, grid), params.u_star

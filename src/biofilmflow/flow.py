@@ -255,14 +255,12 @@ def constraint_excess(comps, obs):
 def pressure_project(v, dt):
     """Project a face field onto the divergence-free affine set.
 
-    Returns (projected field, pressure = potential / dt, solver
-    residual). The potential is mean-zero.
+    Returns (projected field, pressure = potential / dt). The potential
+    is mean-zero.
     """
     grid = v.grid
-    out, phi, rhs = _project_affine(list(v.comps), grid.h)
-    scale = max(1.0, float(np.abs(phi).max()) / min(grid.h) ** 2)
-    residual = float(np.abs(ops.neumann_laplacian_apply(phi, grid.h) - rhs).max()) / scale
-    return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt), residual
+    out, phi, _ = _project_affine(list(v.comps), grid.h)
+    return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt)
 
 
 def _shrink_cells(z, obs):

@@ -131,16 +131,8 @@ def step_nutrient(ws, w, u, v, dt):
 
     w_new, _ = _solve_spd(system, rhs, rhs)
 
-    pre_min = float(w_new.min())
-    pre_max = float(w_new.max())
-    clamped = np.clip(w_new, 0.0, 1.0)
-    clamp_mass = float(np.abs(clamped - w_new).sum() * grid.cell_volume)
-    report = NutrientStepReport(
-        pre_clamp_min=pre_min,
-        pre_clamp_max=pre_max,
-        clamp_mass=clamp_mass,
-    )
-    return ScalarField(grid, clamped), report
+    clamped, ledger = ops.clamp_ledger(w_new, 1.0, grid.cell_volume)
+    return ScalarField(grid, clamped), NutrientStepReport(**ledger)
 
 
 def skew_convection_check(w, v, grid):

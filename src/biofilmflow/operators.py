@@ -173,11 +173,6 @@ def poisson_neumann(rhs, h):
     return phi - phi.mean()
 
 
-def neumann_laplacian_apply(phi, h):
-    """Matching 5/7-point no-flux Laplacian, for residual checks."""
-    return scatter_faces([np.diff(phi, axis=ax) / h[ax] / h[ax] for ax in range(phi.ndim)])
-
-
 # ---------------------------------------------------------------------------
 # Advection
 # ---------------------------------------------------------------------------
@@ -382,3 +377,13 @@ def gradient_sq_sum(values, h, cell_volume):
         d = np.diff(values, axis=ax) / h[ax]
         total += float(np.sum(d * d))
     return total * cell_volume
+
+
+def clamp_ledger(x, hi, cell_volume):
+    """Clip x to [0, hi]: the clipped array, and the step report fields
+    that record the clip (x's extrema and the clamped mass |clip(x) - x| h^n)."""
+    pre_min = float(x.min())
+    pre_max = float(x.max())
+    clamped = np.clip(x, 0.0, hi)
+    mass = float(np.abs(clamped - x).sum() * cell_volume)
+    return clamped, dict(pre_clamp_min=pre_min, pre_clamp_max=pre_max, clamp_mass=mass)

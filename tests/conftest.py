@@ -224,6 +224,19 @@ def gradient_faces(phi, h):
     return out
 
 
+def neumann_laplacian_apply(phi, h):
+    """The 5/7-point no-flux Laplacian that ``poisson_neumann`` inverts,
+    applied matrix-free, for residual checks: each interior face's flux
+    goes into its low cell and out of its high one."""
+    nd = phi.ndim
+    out = np.zeros(phi.shape)
+    for ax in range(nd):
+        flux = np.diff(phi, axis=ax) / h[ax] / h[ax]
+        out[_sl(nd, ax, slice(None, -1))] += flux
+        out[_sl(nd, ax, slice(1, None))] -= flux
+    return out
+
+
 def interp_centers_adjoint(m):
     """Transpose of ``center_average``: spread per-component cell data
     onto the faces, half to each of a cell's two faces per component."""

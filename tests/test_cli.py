@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import biofilmflow
 from biofilmflow import coupling
 from biofilmflow.cli import main
+from biofilmflow.config import parse_config
 
 CONFIG = """
 [grid]
@@ -75,6 +76,32 @@ def test_print_config_is_canonical_fixed_point(tmp_path):
     second = _cli("--config", str(echoed), "--print-config")
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
+
+
+def test_print_config_refuses_values_that_do_not_read_back(tmp_path):
+    # a comment mark after whitespace, edge whitespace or a line break
+    # would make the echo a different config, or a malformed one
+    cfg = _write_cfg(tmp_path)
+    for bad in ("a ;b", "#x", " x", "x ", "a\nb"):
+        res = _cli("--config", str(cfg), "--out-dir", bad, "--print-config")
+        assert res.returncode == 2, (bad, res.stderr)
+        assert res.stderr.startswith("config error: [output] out_dir"), res.stderr
+        assert "Traceback" not in res.stderr
+    for plain, out_dir in (("a;b", "a;b"), ("a#b", "a#b"), ("out dir", "out dir"), ("none", None)):
+        res = _cli("--config", str(cfg), "--out-dir", plain, "--print-config")
+        assert res.returncode == 0, res.stderr
+        assert parse_config(res.stdout).output.out_dir == out_dir
+
+
+def test_grid_too_large_to_allocate_exits_two(tmp_path):
+    # 10^14 float cells are 728 TiB, beyond the 128 TiB user address space
+    # of x86-64 Linux: the allocation fails at once and touches no memory
+    path = tmp_path / "huge.ini"
+    path.write_text("[grid]\ncells = 10000000 10000000\n")
+    res = _cli("--config", str(path), "--validate-only")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: the 10000000x10000000 grid does not fit")
+    assert "Traceback" not in res.stderr
 
 
 def test_validate_only_reports_and_exits_zero(tmp_path):

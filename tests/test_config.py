@@ -1,6 +1,8 @@
 """Config parsing, canonical printing, and initial-field presets."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,15 @@ def test_empty_text_gives_documented_defaults():
     assert cfg.output.snapshot_fields == ("u", "w", "v", "P")
     assert cfg.initial.u.startswith("uniform")
     assert cfg.initial.seed == 0
+
+
+def test_readme_defaults_block_is_the_empty_config():
+    # README's ```ini block under Configuration lists every key at its
+    # default; a default changed in code alone fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    assert parse_config(block) == parse_config("")
 
 
 def test_print_then_parse_is_a_fixed_point():
@@ -153,6 +164,13 @@ def test_coupling_section_checked_at_parse(text, match):
     # the run used to be the first to check these: after "config ok"
     with pytest.raises(ConfigError, match=match):
         parse_config(f"[coupling]\n{text}\n")
+
+
+@pytest.mark.parametrize("dim", ["1", "4", "10000000000000000000"])
+def test_dim_outside_two_and_three_rejected(dim):
+    # the per-axis defaults are dim long: a huge dim must not get that far
+    with pytest.raises(ConfigError, match="2D or 3D"):
+        parse_config(f"[grid]\ndim = {dim}\n")
 
 
 def test_gamma0_must_be_proper_subset():
