@@ -97,7 +97,7 @@ class BiomassWorkspace:
     mollifier_mu: object
     cutoff: np.ndarray
     stiffness: ops.Stencil  # acts on the transformed variable beta(u)
-    stiffness_diag: np.ndarray  # flat
+    stiffness_diag: np.ndarray  # cell array
     stiffness_norm: float  # sup-norm: the largest absolute row sum
 
 
@@ -113,7 +113,7 @@ def make_biomass_workspace(grid, params):
         mollifier_mu=mollifier(params.mu, grid),
         cutoff=build_cutoff(grid, params.mu),
         stiffness=stiffness,
-        stiffness_diag=dict(stiffness.taps)[(0,) * grid.dim].ravel(),
+        stiffness_diag=dict(stiffness.taps)[(0,) * grid.dim],
         stiffness_norm=float(np.abs(stiffness(checker)).max()),
     )
 
@@ -193,7 +193,7 @@ def _residual(x, u_old, growth, v, ws, dt):
 
 
 def _newton_direction(ws, g, s, c, eta):
-    """Inexact solve of J delta = -g, J = diag(c) + S diag(s), flat arrays.
+    """Inexact solve of J delta = -g, J = diag(c) + S diag(s), all cell arrays.
 
     step_biomass passes the Jacobian in tau, J_u diag(U'): c is 1/dt + b -
     growth times U' and s is beta'(U) U', so delta is a step in tau.
@@ -221,18 +221,18 @@ def _newton_direction(ws, g, s, c, eta):
     diag = c + s * ws.stiffness_diag
     z = r / diag
     d = z
-    rz = float(r @ z)
+    rz = float(np.vdot(r, z))
     its = 0
     while its < g.size and float(np.abs(weight * r).max()) > target:
         md = c * d + root * stiff(root * d)
-        dmd = float(d @ md)
+        dmd = float(np.vdot(d, md))
         if not (dmd > 0.0 and rz > 0.0):
             break
         alpha = rz / dmd
         y += alpha * d
         r -= alpha * md
         z = r / diag
-        rz_new = float(r @ z)
+        rz_new = float(np.vdot(r, z))
         d = z + (rz_new / rz) * d
         rz = rz_new
         its += 1
@@ -260,7 +260,7 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
     grid = ws.grid
     w_tilde = mollify_array(np.clip(w.values, 0.0, 1.0), ws.mollifier_mu)
     growth = consumption_rate(w_tilde, p)
-    react = (1.0 / dt + p.b - growth).ravel()
+    react = 1.0 / dt + p.b - growth
 
     u_old = u.values
     x = np.array(u_old if x0 is None else x0, dtype=float, copy=True)
@@ -289,16 +289,14 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
                 residual=res,
                 history=history,
             )
-        slope = biomass_diffusion_reg_deriv(x, p).ravel()
+        slope = biomass_diffusion_reg_deriv(x, p)
         c = react
         du = _du_dtau(tau, p)
         if du is not None:
             # the Jacobian in tau is the one in u times diag(U')
-            du = du.ravel()
             slope *= du
             c = react * du
-        delta, its = _newton_direction(ws, g_vec.ravel(), slope, c, eta)
-        delta = delta.reshape(grid.cells)
+        delta, its = _newton_direction(ws, g_vec, slope, c, eta)
         krylov_iters += its
         # backtracking on the sup-norm of the residual
         step = 1.0

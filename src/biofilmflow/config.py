@@ -216,6 +216,8 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    if cp.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"a [DEFAULT] section is not allowed (keys {sorted(cp.defaults())})")
     extra = set(cp.sections()) - set(_SECTIONS)
     if extra:
         raise ConfigError(f"unknown config section(s) {sorted(extra)}")

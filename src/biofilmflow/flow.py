@@ -21,7 +21,7 @@ ball, by a proximal gradient iteration with Anderson acceleration: each
 iteration is one exact affine projection (a cosine transform Poisson
 solve), one cellwise soft-threshold and a small least-squares fit over
 the last residuals, so it converges to the true metric projection. The
-multipliers are kept as one cell array per velocity component. A
+multipliers are one (dim, *cells) array, a d-vector per cell. A
 projection may start from given multipliers and returns its final ones;
 the coupling loop hands each round's multipliers to the next round of
 the same step and starts every step from zero, so a step depends on its
@@ -71,14 +71,14 @@ class FlowStepReport:
     previous coupling round's multipliers counts only the iterations it
     needed from there: one where the obstacle is inactive, up to a few
     hundred where it binds on a dense block. lam holds the final
-    multipliers, one cell array per component. tight tells whether the
+    multipliers as one (dim, *cells) array. tight tells whether the
     projection met FEAS_TOL and STEP_TOL, whatever tolerance it was asked
     to stop at."""
 
     dykstra_sweeps: int
     max_excess: float
     max_div: float
-    lam: list
+    lam: np.ndarray
     tight: bool
 
 
@@ -217,9 +217,10 @@ def _zero_normal_boundary(comps):
     return out
 
 
-def _project_affine(comps, h, lam=None):
+def _project_affine(comps, h, lam):
     """Exact projection of y = comps - M^T lam onto {zero boundary faces,
-    div_h = 0}, with lam one cell array per component (None: y = comps).
+    div_h = 0}, with lam a (dim, *cells) array. Zero multipliers give
+    y = comps bit for bit, since c - (+0.0) is c.
 
     Returns (projected comps, potential phi, div_h y: the right-hand
     side phi solves for). Zeroing the boundary faces and the interior
@@ -233,9 +234,6 @@ def _project_affine(comps, h, lam=None):
     inner = [ops.axslice(nd, ax, slice(1, -1)) for ax in range(nd)]
     y = [np.zeros(c.shape) for c in comps]
     for ax, (c, yc) in enumerate(zip(comps, y)):
-        if lam is None:
-            yc[inner[ax]] = c[inner[ax]]
-            continue
         half = 0.5 * lam[ax]
         # a zero-filled array sums (0 + a) + b, which is (a + b) + 0: -0 + -0 is +0
         adj = half[ops.axslice(nd, ax, slice(1, None))] + half[ops.axslice(nd, ax, slice(None, -1))]
@@ -259,7 +257,7 @@ def pressure_project(v, dt):
     is mean-zero.
     """
     grid = v.grid
-    out, phi, _ = _project_affine(list(v.comps), grid.h)
+    out, phi, _ = _project_affine(v.comps, grid.h, np.zeros((grid.dim, *grid.cells)))
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt)
 
 
@@ -267,15 +265,15 @@ def _shrink_cells(z, obs):
     """Group soft-threshold z_c max(0, 1 - r_c/|z_c|) per cell.
 
     The proximal map of the support function of the speed balls, i.e.
-    z minus its projection onto the balls. z is one cell array per
-    component, and so is the result. Inside a ball 1 - r_c/|z_c| <= 0,
+    z minus its projection onto the balls. z and the result are
+    (dim, *cells) arrays. Inside a ball 1 - r_c/|z_c| <= 0,
     or -inf at z_c = 0, or NaN at z_c = 0 = r_c; fmax turns all three
     into 0.
     """
     norm = ops.cell_norm(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = np.fmax(1.0 - obs / norm, 0.0)
-    return [c * keep for c in z]
+    return z * keep
 
 
 def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
@@ -298,7 +296,7 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     drops the history, so the next step is a plain G(lam). The history
     lives within one call and each iteration costs one solve.
 
-    lam, one cell array per component, is the starting dual point; with
+    lam, a (dim, *cells) array, is the starting dual point; with
     None it is zero and the first affine projection is of v itself.
     Multipliers returned by a projection of the same v onto a nearby
     obstacle are a good start. If G fixes the start bit for bit, x of
@@ -318,32 +316,32 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     grid = v.grid
     h = grid.h
     if lam is None:
-        lam = [np.zeros(r.shape) for _ in range(grid.dim)]
+        lam = np.zeros((grid.dim, *r.shape))
     x, phi, _ = _project_affine(v.comps, h, lam)
     m = ops.center_average(x)
     f_prev = g_prev = hist = None
     best, cols = np.inf, 0
     for it in range(PROJECT_MAX_ITERS):
-        g = _shrink_cells([a + b for a, b in zip(lam, m)], r)
-        if it == 0 and all(np.array_equal(a, b) for a, b in zip(g, lam)):
+        g = _shrink_cells(lam + m, r)
+        if it == 0 and np.array_equal(g, lam):
             lam_new, x_new, m_new = g, x, m
         else:
-            f = [a - b for a, b in zip(g, lam)]
+            f = g - lam
+            # row by row, as fit[j] below: one dot over all rows rounds differently
             fsq = sum(float(np.vdot(c, c)) for c in f)
             if f_prev is None or fsq > 4.0 * best:
                 lam_new, cols = g, 0
             else:
                 if hist is None:
-                    hist = np.empty((2, ANDERSON_DEPTH, len(f), *r.shape))
+                    hist = np.empty((2, ANDERSON_DEPTH, *f.shape))
                     gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
                     fit = np.zeros(ANDERSON_DEPTH)
                 d_f, d_g = hist
                 j = cols % ANDERSON_DEPTH
                 cols += 1
                 n = min(cols, ANDERSON_DEPTH)
-                for ax in range(len(f)):
-                    np.subtract(f[ax], f_prev[ax], out=d_f[j, ax])
-                    np.subtract(g[ax], g_prev[ax], out=d_g[j, ax])
+                np.subtract(f, f_prev, out=d_f[j])
+                np.subtract(g, g_prev, out=d_g[j])
                 flat = d_f.reshape(ANDERSON_DEPTH, -1)
                 row = flat[:n] @ flat[j]
                 gram[j, :n] = gram[:n, j] = row
@@ -353,8 +351,8 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                 # tiny: a history of zeros (a stalled iterate) solves to gamma = 0
                 lhs.flat[:: n + 1] += ANDERSON_REG * max(np.trace(lhs), np.finfo(float).tiny)
                 gamma = np.linalg.solve(lhs, fit[:n])
-                corr = (gamma @ d_g[:n].reshape(n, -1)).reshape(d_g.shape[1:])
-                lam_new = [a - b for a, b in zip(g, corr)]
+                corr = (gamma @ d_g[:n].reshape(n, -1)).reshape(g.shape)
+                lam_new = g - corr
             best = min(best, fsq)
             f_prev, g_prev = f, g
             x_new, phi, _ = _project_affine(v.comps, h, lam_new)
@@ -468,10 +466,10 @@ def step_flow(ws, v_star, u, lam=None, tol=None):
     excess, divergence and increment bound; the report's tight flag
     still compares the result against FEAS_TOL and STEP_TOL.
     Returns (VectorField, pressure ScalarField, FlowStepReport, obstacle
-    cell array); the report's lam are the final multipliers, to start
-    the next coupling round of the same step from. The pressure collects
-    the affine multipliers of the projection scaled by 1/dt, mean-zero by
-    construction.
+    cell array); the report's lam, one (dim, *cells) array, holds the
+    final multipliers, to start the next coupling round of the same step
+    from. The pressure collects the affine multipliers of the projection
+    scaled by 1/dt, mean-zero by construction.
     """
     r = workspace_obstacle(ws, u)
     feas_tol, step_tol = (FEAS_TOL, STEP_TOL) if tol is None else (tol, tol)

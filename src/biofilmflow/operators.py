@@ -58,19 +58,21 @@ def scatter_faces(faces):
 
 
 def center_average(comps):
-    """Face-to-center average, one cell array per component."""
+    """Face-to-center average as one (dim, *cells) array; row ax is
+    0.5 * (lo + hi) of component ax's two faces along ax."""
     nd = len(comps)
-    return [
-        0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
-        for ax, c in enumerate(comps)
-    ]
+    out = np.empty((nd, *comps[0][1:].shape))  # component 0 has one more face along axis 0
+    for ax, c in enumerate(comps):
+        np.add(c[axslice(nd, ax, slice(None, -1))], c[axslice(nd, ax, slice(1, None))], out=out[ax])
+    out *= 0.5
+    return out
 
 
 def cell_norm(m):
-    """Euclidean norm per cell of per-component cell data, e.g. the cell
-    speed ``cell_norm(center_average(comps))``.
+    """Euclidean norm per cell of (dim, *cells) data, e.g. the cell speed
+    ``cell_norm(center_average(comps))``.
 
-    The squares are summed component by component, in axis order.
+    The squares are summed row by row, in axis order.
     """
     sq = m[0] * m[0]
     for c in m[1:]:
@@ -292,16 +294,14 @@ class Stencil:
             self._plan.append((flat[lo + shift:hi + shift], w))
 
     def __call__(self, x):
-        """The stencil applied to x (cell-shaped or flat), as a new array
-        of x's shape."""
-        self._buf[self._inner] = np.reshape(x, self.cells)
+        """The stencil applied to the cell array x, as a new cell array."""
+        self._buf[self._inner] = x
         (view, w), *rest = self._plan
         np.multiply(view, w, out=self._window)
         for view, w in rest:
             np.multiply(view, w, out=self._tmp)
             self._window += self._tmp
-        out = self._acc.reshape(self._buf.shape)[self._inner] + 0.0
-        return out.reshape(np.shape(x))
+        return self._acc.reshape(self._buf.shape)[self._inner] + 0.0
 
 
 @lru_cache(maxsize=32)

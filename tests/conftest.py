@@ -238,8 +238,8 @@ def neumann_laplacian_apply(phi, h):
 
 
 def interp_centers_adjoint(m):
-    """Transpose of ``center_average``: spread per-component cell data
-    onto the faces, half to each of a cell's two faces per component."""
+    """Transpose of ``center_average``: spread (dim, *cells) data onto
+    the faces, row ax half to each of a cell's two faces along ax."""
     nd = len(m)
     out = []
     for ax, c in enumerate(m):

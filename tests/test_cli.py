@@ -126,6 +126,14 @@ def test_bad_config_exits_two(tmp_path):
     assert "mu" in res.stderr
 
 
+def test_default_section_exits_two(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[DEFAULT]\ndt = 0.5\n\n[time]\nt_end = 1.0\n")
+    res = _cli("--config", str(path), "--validate-only")
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error: a [DEFAULT] section is not allowed")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -231,6 +239,15 @@ def test_infeasible_initial_data_exits_two(tmp_path):
     res = _cli("--config", str(path), "--validate-only")
     assert res.returncode == 2
     assert "outside" in res.stderr
+
+
+def test_initial_speed_whose_square_overflows_exits_two_quietly(tmp_path):
+    path = tmp_path / "fast.ini"
+    path.write_text("[grid]\ncells = 8 8\n\n[initial]\nv = constant gx=1e200\n")
+    res = _cli("--config", str(path), "--validate-only")
+    assert res.returncode == 2
+    assert "speed inf vs ceiling" in res.stderr
+    assert "Warning" not in res.stderr
 
 
 def test_short_run_writes_series_and_summary(tmp_path):

@@ -108,6 +108,16 @@ def test_unknown_section_rejected():
         parse_config("[grd]\ncells = 8 8\n")
 
 
+def test_default_section_rejected():
+    # configparser copies [DEFAULT] keys into every section, so dt would
+    # silently apply next to [time], and a key with no section at all
+    # would be silently dropped
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\].*\['dt'\]"):
+        parse_config("[DEFAULT]\ndt = 0.5\n\n[time]\nt_end = 1.0\n")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\].*\['bogus'\]"):
+        parse_config("[DEFAULT]\nbogus = 1\n")
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['cell'\]"):
         parse_config("[grid]\ncell = 8 8\n")

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,19 +340,6 @@ def test_edge_inputs_on_a_partial_table_equal_the_full_table(r):
     out = diffusion_energy(r, p)
     assert np.shape(out) == np.shape(ref)
     assert np.array_equal(out, ref, equal_nan=True)
-
-
-def test_package_import_leaves_scipy_integrate_out():
-    # run against the copy of the package this module imported
-    src = str(Path(constitutive.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, biofilmflow; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=env, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_energy_zero_and_convex_extensions(p):

@@ -365,11 +365,9 @@ def test_project_affine_equals_the_composed_projection(cells):
     lam[:, 1:3] = 0.0
     lam[0, 1:3] *= -1.0
     rest = [np.full(c.shape, -0.0) for c in comps]
-    for field, mult in ((comps, None), (comps, lam), (rest, np.full(lam.shape, -0.0))):
-        y = field if mult is None else [
-            a - b for a, b in zip(field, interp_centers_adjoint(list(mult)))
-        ]
-        y = [c.copy() for c in y]
+    zero = np.zeros(lam.shape)
+    for field, mult in ((comps, zero), (comps, lam), (rest, np.full(lam.shape, -0.0))):
+        y = [a - b for a, b in zip(field, interp_centers_adjoint(mult))]
         for ax, c in enumerate(y):
             c[ops.axslice(g.dim, ax, 0)] = 0.0
             c[ops.axslice(g.dim, ax, -1)] = 0.0
@@ -493,13 +491,13 @@ def test_project_K_restarts_from_its_own_multipliers(params):
     obs = np.full(g.cells, 0.3)
     first, p_first, rep = project_K(v, obs, dt=1.0)
     assert rep.dykstra_sweeps > 2  # the obstacle binds
-    assert len(rep.lam) == 2 and rep.lam[0].shape == g.cells
+    assert isinstance(rep.lam, np.ndarray) and rep.lam.shape == (2, *g.cells)
     again, p_again, rep_again = project_K(v, obs, dt=1.0, lam=rep.lam)
     assert rep_again.dykstra_sweeps <= 2
     assert max(np.abs(a - b).max() for a, b in zip(first.comps, again.comps)) < 1e-9
     assert np.abs(p_first.values - p_again.values).max() < 1e-9
     # zero multipliers are the cold start, bit for bit
-    zero, _, _ = project_K(v, obs, dt=1.0, lam=[np.zeros(g.cells)] * 2)
+    zero, _, _ = project_K(v, obs, dt=1.0, lam=np.zeros((2, *g.cells)))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first.comps, zero.comps))
 
 

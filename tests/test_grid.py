@@ -68,6 +68,19 @@ def test_interp_uniform_faces():
     assert np.allclose(m[1], -1.5)
 
 
+@pytest.mark.parametrize("cells", [(8, 8), (5, 4, 6)])
+def test_center_average_is_one_array_of_face_means(cells):
+    g = Grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(3)
+    comps = [rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)]
+    m = ops.center_average(comps)
+    assert isinstance(m, np.ndarray) and m.shape == (g.dim, *g.cells)
+    for ax, c in enumerate(comps):
+        lo = c[ops.axslice(g.dim, ax, slice(None, -1))]
+        hi = c[ops.axslice(g.dim, ax, slice(1, None))]
+        assert m[ax].tobytes() == (0.5 * (lo + hi)).tobytes()
+
+
 def test_interp_zero():
     g = build_grid(2, (1.0, 1.0), (8, 8), ("left",))
     m = ops.center_average(VectorField.zeros(g).comps)
@@ -97,8 +110,8 @@ def test_interp_linearity(seed, a, b):
     f = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     k = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     combo = VectorField(g, tuple(a * fc + b * kc for fc, kc in zip(f.comps, k.comps)))
-    lhs = np.stack(ops.center_average(combo.comps))
-    rhs = a * np.stack(ops.center_average(f.comps)) + b * np.stack(ops.center_average(k.comps))
+    lhs = ops.center_average(combo.comps)
+    rhs = a * ops.center_average(f.comps) + b * ops.center_average(k.comps)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
