@@ -74,8 +74,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
         _apply_threads(args.threads)
 
     from dataclasses import replace

@@ -45,7 +45,6 @@ from .constitutive import speed_limit, validate_params
 from .diagnostics import StepDiagnostics, invariant_report
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .flow import (
-    FlowTrajectory,
     make_flow_workspace,
     obstacle_density,
     predict_velocity,
@@ -162,12 +161,8 @@ def check_initial_data(u0, w0, v0, params):
     return u0, w0, v0
 
 
-def picard_step(stepper, state, g, record=None):
-    """Advance one dt; returns (SimState, StepDiagnostics).
-
-    record, when given, is a FlowTrajectory collecting the accepted
-    flow sub-steps for the inequality diagnostics.
-    """
+def picard_step(stepper, state, g):
+    """Advance one dt; returns (SimState, StepDiagnostics)."""
     cc = stepper.coupling
     grid = stepper.grid
     vol = grid.cell_volume
@@ -186,7 +181,7 @@ def picard_step(stepper, state, g, record=None):
     newton_iters = []
     krylov_iters = []
     for k in range(cc.picard_max):
-        v_new, pressure, flow_rep, obs = step_flow(
+        v_new, pressure, flow_rep = step_flow(
             stepper.flow_ws,
             v_star,
             uk,
@@ -229,8 +224,6 @@ def picard_step(stepper, state, g, record=None):
             history=residuals,
         )
 
-    if record is not None:
-        record.append(v_new, v_star, g, obs)
     new_state = SimState(t=state.t + cc.dt, u=u_new, w=w_new, v=v_new, P=pressure)
     kinetic_sq = ops.face_l2_sq(list(v_new.comps), vol)
     nutrient_sq = ops.scalar_l2_sq(w_new.values, vol)
@@ -265,12 +258,14 @@ def picard_step(stepper, state, g, record=None):
     return new_state, diag
 
 
-def run(cfg, record_trajectory=False):
+def run(cfg):
     """Drive a full simulation from a parsed configuration.
 
-    Returns (final SimState, list of StepDiagnostics, FlowTrajectory or
-    None). Each step's row and snapshot are written before the
-    invariants are enforced, so partial output survives an abort.
+    Returns (final SimState, list of StepDiagnostics, None). Each step's
+    row and snapshot are written before the invariants are enforced, so
+    partial output survives an abort. The third value is always None; it
+    stays because perfbench/workloads.py unpacks three values, so the two
+    change together.
     """
     from .config import initial_state, num_steps
     from .output import SeriesWriter, write_snapshot
@@ -281,11 +276,6 @@ def run(cfg, record_trajectory=False):
     state = initial_state(cfg)
     g = state.pop("g")
     state = SimState(t=0.0, **state)
-
-    record = None
-    if record_trajectory:
-        record = FlowTrajectory(grid, cfg.dt, params.nu)
-        record.start(state.v)
 
     steps = num_steps(cfg)
     writer = None
@@ -299,7 +289,7 @@ def run(cfg, record_trajectory=False):
     diags = []
     try:
         for n in range(steps):
-            state, diag = picard_step(stepper, state, g, record=record)
+            state, diag = picard_step(stepper, state, g)
             diag = replace(diag, step=n + 1)
             diags.append(diag)
             obstacle = workspace_obstacle(stepper.flow_ws, state.u)
@@ -323,4 +313,4 @@ def run(cfg, record_trajectory=False):
     finally:
         if writer is not None:
             writer.close()
-    return state, diags, record
+    return state, diags, None

@@ -34,7 +34,7 @@ affine projection, divided by dt, serves as the pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,7 +90,6 @@ class FlowWorkspace:
     mollifier_eps: object
     cutoff: np.ndarray
     helmholtz_eig: tuple  # per component: 1 + dt nu (eigenvalues of A_ax)
-    poincare: float
 
 
 def make_flow_workspace(grid, params, dt):
@@ -106,7 +105,6 @@ def make_flow_workspace(grid, params, dt):
         helmholtz_eig=tuple(
             1.0 + c * _sine_eigenvalues(grid, ax) for ax in range(grid.dim)
         ),
-        poincare=poincare_constant(grid),
     )
 
 
@@ -244,10 +242,6 @@ def _project_affine(comps, h, lam):
     for ax, yc in enumerate(y):
         yc[inner[ax]] -= np.diff(phi, axis=ax) / h[ax]
     return y, phi, rhs
-
-
-def constraint_excess(comps, obs):
-    return float(np.max(ops.cell_norm(ops.center_average(comps)) - obs))
 
 
 def pressure_project(v, dt):
@@ -465,47 +459,22 @@ def step_flow(ws, v_star, u, lam=None, tol=None):
     tol, when given, replaces FEAS_TOL and STEP_TOL as the projection's
     excess, divergence and increment bound; the report's tight flag
     still compares the result against FEAS_TOL and STEP_TOL.
-    Returns (VectorField, pressure ScalarField, FlowStepReport, obstacle
-    cell array); the report's lam, one (dim, *cells) array, holds the
-    final multipliers, to start the next coupling round of the same step
-    from. The pressure collects the affine multipliers of the projection
-    scaled by 1/dt, mean-zero by construction.
+    Returns (VectorField, pressure ScalarField, FlowStepReport); the
+    report's lam, one (dim, *cells) array, holds the final multipliers,
+    to start the next coupling round of the same step from. The pressure
+    collects the affine multipliers of the projection scaled by 1/dt,
+    mean-zero by construction.
     """
     r = workspace_obstacle(ws, u)
     feas_tol, step_tol = (FEAS_TOL, STEP_TOL) if tol is None else (tol, tol)
-    v_new, pressure, report = project_K(
+    return project_K(
         VectorField(ws.grid, tuple(v_star)), r, ws.dt,
         feas_tol=feas_tol, step_tol=step_tol, lam=lam,
     )
-    return v_new, pressure, report, r
-
-
-def convection_form(a, b, c, grid):
-    """Trilinear form <N(a, b), c> with h^n face weights."""
-    adv = ops.mac_advection(a.comps, list(b.comps), grid.h)
-    return ops.face_dot(adv, list(c.comps), grid.cell_volume)
-
-
-def make_feasible(eta, obs_new, obs_old, mu):
-    """Shrink a field feasible for obs_old into K(obs_new), both obstacles
-    cell arrays.
-
-    Uses the uniform factor (1 - s/mu) with s the sup drift between the
-    two obstacles. Valid whenever the old obstacle is at least mu on
-    the cells where eta is active (the construction the compactness
-    argument uses); collapses, hence errors, when s >= mu.
-    """
-    s = float(np.abs(obs_new - obs_old).max())
-    if s >= mu:
-        raise ValueError(
-            f"obstacle drift {s:.3e} >= mu {mu:.3e}: feasibility scaling collapses"
-        )
-    factor = 1.0 - s / mu
-    return VectorField(eta.grid, tuple(factor * c for c in eta.comps)), factor
 
 
 # ---------------------------------------------------------------------------
-# Energy and variational-inequality bookkeeping
+# Energy bookkeeping
 # ---------------------------------------------------------------------------
 
 def flow_energy_check(kinetic_sq, viscous_sq, forcing_sq, nu, poincare, dt):
@@ -532,85 +501,3 @@ def flow_energy_check(kinetic_sq, viscous_sq, forcing_sq, nu, poincare, dt):
             continue
         worst = max(worst, num / den)
     return float(worst)
-
-
-@dataclass
-class FlowTrajectory:
-    """Per-step record needed by the inequality defect computation."""
-
-    grid: object
-    dt: float
-    nu: float
-    v: list = field(default_factory=list)  # N+1 velocity fields
-    v_star: list = field(default_factory=list)  # N predictor fields
-    g: list = field(default_factory=list)  # N forcing fields
-    obstacles: list = field(default_factory=list)  # N obstacle cell arrays
-
-    def start(self, v0):
-        self.v = [VectorField(self.grid, tuple(c.copy() for c in v0.comps))]
-
-    def append(self, v_new, v_star, g, obstacle):
-        self.v.append(VectorField(self.grid, tuple(c.copy() for c in v_new.comps)))
-        self.v_star.append(tuple(c.copy() for c in v_star))
-        self.g.append(tuple(c.copy() for c in g.comps))
-        self.obstacles.append(obstacle.copy())
-
-
-def vi_residual(traj, etas, feas_tol=1e-7):
-    """Global defect of the summed variational inequality.
-
-    etas: one comparison field per step, each required to lie in the
-    step's constraint set (checked up to feas_tol). Returns RHS - LHS of
-    the summed inequality; for trajectories produced by the projection
-    step this is nonnegative up to projection and rounding slack.
-    """
-    grid = traj.grid
-    vol = grid.cell_volume
-    h = grid.h
-    dt = traj.dt
-    n_steps = len(traj.v_star)
-    if len(etas) != n_steps or len(traj.v) != n_steps + 1:
-        raise ValueError("trajectory record and eta list lengths disagree")
-
-    for n, eta in enumerate(etas):
-        for ax, c in enumerate(eta.comps):
-            b0 = float(np.abs(c[ops.axslice(grid.dim, ax, 0)]).max(initial=0.0))
-            b1 = float(np.abs(c[ops.axslice(grid.dim, ax, -1)]).max(initial=0.0))
-            if max(b0, b1) > feas_tol:
-                raise ValueError(f"eta[{n}] has nonzero boundary faces")
-        dv = float(np.abs(ops.divergence(list(eta.comps), h)).max())
-        excess = constraint_excess(list(eta.comps), traj.obstacles[n])
-        if dv > feas_tol or excess > feas_tol:
-            raise ValueError(
-                f"eta[{n}] infeasible: div {dv:.3e}, speed excess {excess:.3e}"
-            )
-
-    def dot(a, b):
-        return ops.face_dot(list(a), list(b), vol)
-
-    def norm_sq(a):
-        return ops.face_l2_sq(list(a), vol)
-
-    def diff(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    lhs = 0.5 * norm_sq(diff(traj.v[n_steps].comps, etas[n_steps - 1].comps))
-    rhs = 0.5 * norm_sq(diff(traj.v[0].comps, etas[0].comps))
-    for n in range(n_steps):
-        vn = traj.v[n].comps
-        vn1 = traj.v[n + 1].comps
-        star = traj.v_star[n]
-        eta = etas[n].comps
-        eta_prev = etas[n - 1].comps if n > 0 else eta
-        test = diff(vn1, eta)
-
-        deta = diff(eta, eta_prev)
-        lhs += dot(deta, diff(vn, eta_prev)) - 0.5 * norm_sq(deta)
-        lhs += 0.5 * norm_sq(diff(vn1, vn))
-
-        a_star = vector_laplacian(grid, star)
-        lhs += dt * traj.nu * dot(a_star, test)
-        adv = ops.mac_advection(list(vn), list(star), h)
-        lhs += dt * dot(adv, test)
-        rhs += dt * dot(traj.g[n], test)
-    return float(rhs - lhs)

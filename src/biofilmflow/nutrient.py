@@ -135,16 +135,6 @@ def step_nutrient(ws, w, u, v, dt):
     return ScalarField(grid, clamped), NutrientStepReport(**ledger)
 
 
-def skew_convection_check(w, v, grid):
-    """Energy pairing <div_c(w v), w> of the centered transport operator.
-
-    Vanishes to rounding for discretely divergence-free v with zero
-    boundary faces; used as a solver invariant probe.
-    """
-    flux = ops.centered_flux_divergence(w.values, v.comps, grid.h)
-    return float(np.sum(flux * w.values) * grid.cell_volume)
-
-
 def nutrient_energy_check(w_sq, grad_sq, params, dt):
     """Largest ratio of the dissipation bookkeeping to its growth bound.
 

@@ -237,21 +237,6 @@ def upwind_flux_divergence(c, v, h):
     return scatter_faces(faces)
 
 
-def centered_flux_divergence(c, v, h):
-    """div(c v) with two-point averaged face values (energy form).
-
-    Against c itself this form is skew for discretely divergence-free
-    v with zero boundary faces.
-    """
-    nd = c.ndim
-    faces = []
-    for ax in range(nd):
-        vf = v[ax][axslice(nd, ax, slice(1, -1))]
-        avg = 0.5 * (c[axslice(nd, ax, slice(None, -1))] + c[axslice(nd, ax, slice(1, None))])
-        faces.append(vf * avg / h[ax])
-    return scatter_faces(faces)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-tap stencils
 # ---------------------------------------------------------------------------

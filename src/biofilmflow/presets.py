@@ -117,6 +117,8 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
         floor = _take(kv, "floor", 0.0)
         corr = _take(kv, "corr", 4.0 * max(grid.h))
         _reject_leftovers(kv, name, what)
+        if corr <= 0:
+            raise ConfigError("random-smooth corr must be positive")
         noise = rng().standard_normal(grid.cells)
         smooth = mollify_array(noise, correlation_stencil(build_kernel(corr, grid), grid.cells))
         span = smooth.max() - smooth.min()

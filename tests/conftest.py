@@ -6,16 +6,28 @@ its constraint matrices by explicit row stuffing and solves the QP with
 a general-purpose interior-point method, and the divergence-free field
 factories construct exactness from stream functions / vector
 potentials rather than from the solver's projection.
+
+The convection probes of C05 and the variational-inequality oracle of
+C11 are the exception, on purpose: they check discrete identities of
+the solver's own operators (skewness of its advection forms, the summed
+inequality of its flow steps), so they are built from those operators.
+The spies watch the coupling loop's inner solves without changing them.
 """
 
 from __future__ import annotations
+
+import contextlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, minimize
 
+from biofilmflow import coupling
+from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, biomass_diffusion_reg_deriv
+from biofilmflow.flow import vector_laplacian, workspace_obstacle
 from biofilmflow.grid import Grid, VectorField, build_grid, edge_axis_side
 
 
@@ -377,3 +389,200 @@ def dense_projection_reference(comps, obs, h, starts=("zero", "input", "half")):
             break
     z, cert, score = best
     return unpack(z, shapes, offs), cert
+
+
+# ---------------------------------------------------------------------------
+# spies on the coupling loop's inner solves
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def spy_calls(module, *names):
+    """Replace the named functions of ``module`` by spies that call them
+    unchanged; yields one list that gets (name, args, kwargs, result) per
+    call, in call order. The originals are back on exit."""
+    log = []
+
+    def spy(name, fn):
+        def watched(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append((name, args, kwargs, out))
+            return out
+
+        return watched
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(module, name, spy(name, getattr(module, name)))
+        yield log
+
+
+def recorded_run(cfg):
+    """``coupling.run(cfg)`` with its accepted flow sub-steps recorded;
+    returns (final SimState, StepDiagnostics list, FlowTrajectory).
+
+    Each step calls the predictor once, then ``step_flow`` once per
+    coupling round; the step's last ``step_flow`` call is its accepted
+    round. The record keeps the predictor's start velocity, v*, and
+    forcing, the accepted velocity, and the obstacle of the accepted
+    round's biomass iterate.
+    """
+    with spy_calls(coupling, "predict_velocity", "step_flow") as log:
+        state, diags, _ = coupling.run(cfg)
+    steps = []  # per step: predictor args, its result, the last step_flow's (args, result)
+    for name, args, _, out in log:
+        if name == "predict_velocity":
+            steps.append([args, out, None])
+        else:
+            steps[-1][2] = (args, out)
+    traj = FlowTrajectory(cfg.grid, cfg.dt, cfg.params.nu)
+    traj.start(steps[0][0][1] if steps else state.v)
+    for (_, _, g), (v_star, _, _), ((ws, _, u), (v_new, _, _)) in steps:
+        traj.append(v_new, v_star, g, workspace_obstacle(ws, u))
+    return state, diags, traj
+
+
+# ---------------------------------------------------------------------------
+# convection probes (C05): skewness of the solver's advection forms
+# ---------------------------------------------------------------------------
+
+def centered_flux_divergence(c, v, h):
+    """div(c v) with two-point averaged face values (energy form).
+
+    Against c itself this form is skew for discretely divergence-free
+    v with zero boundary faces.
+    """
+    nd = c.ndim
+    faces = []
+    for ax in range(nd):
+        vf = v[ax][ops.axslice(nd, ax, slice(1, -1))]
+        avg = 0.5 * (
+            c[ops.axslice(nd, ax, slice(None, -1))] + c[ops.axslice(nd, ax, slice(1, None))]
+        )
+        faces.append(vf * avg / h[ax])
+    return ops.scatter_faces(faces)
+
+
+def skew_convection_check(w, v, grid):
+    """Energy pairing <div_c(w v), w> of the centered transport operator.
+
+    Vanishes to rounding for discretely divergence-free v with zero
+    boundary faces.
+    """
+    flux = centered_flux_divergence(w.values, v.comps, grid.h)
+    return float(np.sum(flux * w.values) * grid.cell_volume)
+
+
+def convection_form(a, b, c, grid):
+    """Trilinear form <N(a, b), c> of ``ops.mac_advection`` with h^n face
+    weights."""
+    adv = ops.mac_advection(a.comps, list(b.comps), grid.h)
+    return ops.face_dot(adv, list(c.comps), grid.cell_volume)
+
+
+# ---------------------------------------------------------------------------
+# the summed variational inequality of the flow steps (C11)
+# ---------------------------------------------------------------------------
+
+def constraint_excess(comps, obs):
+    """Largest cell speed of a face field above the obstacle cell array."""
+    return float(np.max(ops.cell_norm(ops.center_average(comps)) - obs))
+
+
+def make_feasible(eta, obs_new, obs_old, mu):
+    """Shrink a field feasible for obs_old into K(obs_new), both obstacles
+    cell arrays.
+
+    Uses the uniform factor (1 - s/mu) with s the sup drift between the
+    two obstacles. Valid whenever the old obstacle is at least mu on
+    the cells where eta is active (the construction the compactness
+    argument uses); collapses, hence errors, when s >= mu.
+    """
+    s = float(np.abs(obs_new - obs_old).max())
+    if s >= mu:
+        raise ValueError(
+            f"obstacle drift {s:.3e} >= mu {mu:.3e}: feasibility scaling collapses"
+        )
+    factor = 1.0 - s / mu
+    return VectorField(eta.grid, tuple(factor * c for c in eta.comps)), factor
+
+
+@dataclass
+class FlowTrajectory:
+    """Per-step record needed by the inequality defect computation."""
+
+    grid: object
+    dt: float
+    nu: float
+    v: list = field(default_factory=list)  # N+1 velocity fields
+    v_star: list = field(default_factory=list)  # N predictor fields
+    g: list = field(default_factory=list)  # N forcing fields
+    obstacles: list = field(default_factory=list)  # N obstacle cell arrays
+
+    def start(self, v0):
+        self.v = [VectorField(self.grid, tuple(c.copy() for c in v0.comps))]
+
+    def append(self, v_new, v_star, g, obstacle):
+        self.v.append(VectorField(self.grid, tuple(c.copy() for c in v_new.comps)))
+        self.v_star.append(tuple(c.copy() for c in v_star))
+        self.g.append(tuple(c.copy() for c in g.comps))
+        self.obstacles.append(obstacle.copy())
+
+
+def vi_residual(traj, etas, feas_tol=1e-7):
+    """Global defect of the summed variational inequality.
+
+    etas: one comparison field per step, each required to lie in the
+    step's constraint set (checked up to feas_tol). Returns RHS - LHS of
+    the summed inequality; for trajectories produced by the projection
+    step this is nonnegative up to projection and rounding slack.
+    """
+    grid = traj.grid
+    vol = grid.cell_volume
+    h = grid.h
+    dt = traj.dt
+    n_steps = len(traj.v_star)
+    if len(etas) != n_steps or len(traj.v) != n_steps + 1:
+        raise ValueError("trajectory record and eta list lengths disagree")
+
+    for n, eta in enumerate(etas):
+        for ax, c in enumerate(eta.comps):
+            b0 = float(np.abs(c[ops.axslice(grid.dim, ax, 0)]).max(initial=0.0))
+            b1 = float(np.abs(c[ops.axslice(grid.dim, ax, -1)]).max(initial=0.0))
+            if max(b0, b1) > feas_tol:
+                raise ValueError(f"eta[{n}] has nonzero boundary faces")
+        dv = float(np.abs(ops.divergence(list(eta.comps), h)).max())
+        excess = constraint_excess(list(eta.comps), traj.obstacles[n])
+        if dv > feas_tol or excess > feas_tol:
+            raise ValueError(
+                f"eta[{n}] infeasible: div {dv:.3e}, speed excess {excess:.3e}"
+            )
+
+    def dot(a, b):
+        return ops.face_dot(list(a), list(b), vol)
+
+    def norm_sq(a):
+        return ops.face_l2_sq(list(a), vol)
+
+    def diff(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    lhs = 0.5 * norm_sq(diff(traj.v[n_steps].comps, etas[n_steps - 1].comps))
+    rhs = 0.5 * norm_sq(diff(traj.v[0].comps, etas[0].comps))
+    for n in range(n_steps):
+        vn = traj.v[n].comps
+        vn1 = traj.v[n + 1].comps
+        star = traj.v_star[n]
+        eta = etas[n].comps
+        eta_prev = etas[n - 1].comps if n > 0 else eta
+        test = diff(vn1, eta)
+
+        deta = diff(eta, eta_prev)
+        lhs += dot(deta, diff(vn, eta_prev)) - 0.5 * norm_sq(deta)
+        lhs += 0.5 * norm_sq(diff(vn1, vn))
+
+        a_star = vector_laplacian(grid, star)
+        lhs += dt * traj.nu * dot(a_star, test)
+        adv = ops.mac_advection(list(vn), list(star), h)
+        lhs += dt * dot(adv, test)
+        rhs += dt * dot(traj.g[n], test)
+    return float(rhs - lhs)

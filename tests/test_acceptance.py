@@ -23,24 +23,20 @@ from biofilmflow.biomass import BiomassStepConfig, make_biomass_workspace, step_
 from biofilmflow.config import initial_state, parse_config
 from biofilmflow.constitutive import ModelParams, speed_limit
 from biofilmflow.coupling import CouplingConfig, SimState, make_stepper, picard_step, run
-from biofilmflow.flow import (
-    convection_form,
-    flow_energy_check,
-    make_feasible,
-    poincare_constant,
-    project_K,
-    vi_residual,
-)
+from biofilmflow.flow import flow_energy_check, poincare_constant, project_K
 from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
-from biofilmflow.nutrient import (
-    make_nutrient_workspace,
-    nutrient_energy_check,
-    skew_convection_check,
-    step_nutrient,
-)
+from biofilmflow.nutrient import make_nutrient_workspace, nutrient_energy_check, step_nutrient
 from biofilmflow.presets import build_vector
 
-from conftest import dense_projection_reference, stream_field_2d
+from conftest import (
+    convection_form,
+    dense_projection_reference,
+    make_feasible,
+    recorded_run,
+    skew_convection_check,
+    stream_field_2d,
+    vi_residual,
+)
 
 
 def _verdict(tag, name, ok, detail):
@@ -545,7 +541,7 @@ def test_variational_inequality_residuals():
                 seed=k,
             )
         )
-        _, diags, traj = run(cfg, record_trajectory=True)
+        _, diags, traj = recorded_run(cfg)
         g = cfg.grid
         mu = cfg.params.mu
         n = len(traj.v_star)

@@ -322,6 +322,21 @@ def test_out_dir_none_on_cli_disables_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_two_and_leave_the_environment(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    before = dict(os.environ)
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--steps", "1", "--out-dir", "none", "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--threads must be at least 1, got {threads}" in err
+    assert "Traceback" not in err
+    assert dict(os.environ) == before
+
+
 def test_threads_flag_does_not_change_results(tmp_path):
     cfg1 = _write_cfg(tmp_path, out_dir=str(tmp_path / "t1"))
     res = _cli("--config", str(cfg1), "--steps", "3", threads=1)

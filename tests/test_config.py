@@ -281,6 +281,9 @@ def test_preset_token_errors():
 def test_preset_values_and_vectors_validated():
     with pytest.raises(ConfigError, match="amplitude"):
         initial_state(parse_config("[initial]\nu = gaussian-blob amplitude=high\n"))
+    for corr in ("0", "-0.5"):
+        with pytest.raises(ConfigError, match="corr"):
+            initial_state(parse_config(f"[initial]\nu = random-smooth corr={corr}\n"))
     with pytest.raises(ConfigError, match="non-finite"):
         initial_state(parse_config("[initial]\ng = constant gx=1 gy=inf\n"))
 

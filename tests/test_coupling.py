@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import stream_field_2d
+from conftest import recorded_run, spy_calls, stream_field_2d
 
 from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
@@ -123,7 +123,7 @@ def test_update_order_does_not_move_the_fixed_point(params):
     uk, wk = u, w
     v_star, _, _ = predict_velocity(stepper.flow_ws, v, gforce)
     for _ in range(60):
-        v_new, _, _, _ = step_flow(stepper.flow_ws, v_star, uk)
+        v_new, _, _ = step_flow(stepper.flow_ws, v_star, uk)
         u_new, _ = step_biomass(
             stepper.bio_ws, u, wk, v_new, stepper.bio_cfg, x0=uk.values
         )
@@ -265,13 +265,24 @@ def test_invariant_report_flags_each_violation(params):
     }
 
 
+def _bits(v):
+    return [c.tobytes() for c in v.comps]
+
+
 def test_run_records_trajectory(tmp_path):
     cfg = parse_config(_RUN_INI.format(t_end="0.003", out_dir="none"))
-    state, diags, record = run(cfg, record_trajectory=True)
-    assert record is not None
+    with spy_calls(coupling_mod, "predict_velocity") as predictor:
+        state, diags, record = recorded_run(cfg)
     assert len(record.v) == 4  # initial field plus three steps
     assert len(record.v_star) == 3
     assert len(record.obstacles) == 3
+    # the recorder keeps each step's accepted round: the velocity the next
+    # step's predictor starts from, and at the end run's final velocity
+    starts = [args[1] for _, args, _, _ in predictor]
+    assert len(starts) == 3
+    assert [_bits(v) for v in record.v[:3]] == [_bits(v) for v in starts]
+    assert _bits(record.v[3]) == _bits(state.v)
+    assert any(d.picard_iters > 1 for d in diags)
 
 
 def _block_stepper(params, coupling):
@@ -296,22 +307,10 @@ def _spied_step(stepper, state, force):
     """One picard_step with spies on its inner solves; returns (new state,
     StepDiagnostics, [(kwargs, FlowStepReport)] per flow call,
     [(kwargs, (u, BiomassStepReport))] per biomass call)."""
-    flows, bios = [], []
-
-    def flow_spy(*args, **kwargs):
-        out = step_flow(*args, **kwargs)
-        flows.append((kwargs, out[2]))
-        return out
-
-    def bio_spy(*args, **kwargs):
-        out = step_biomass(*args, **kwargs)
-        bios.append((kwargs, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling_mod, "step_flow", flow_spy)
-        mp.setattr(coupling_mod, "step_biomass", bio_spy)
+    with spy_calls(coupling_mod, "step_flow", "step_biomass") as log:
         state, diag = picard_step(stepper, state, force)
+    flows = [(kwargs, out[2]) for name, _, kwargs, out in log if name == "step_flow"]
+    bios = [(kwargs, out) for name, _, kwargs, out in log if name == "step_biomass"]
     return state, diag, flows, bios
 
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from conftest import stream_field_2d
+from conftest import skew_convection_check, stream_field_2d
 
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, nutrient_diffusivity
@@ -18,7 +18,6 @@ from biofilmflow.nutrient import (
     convection_cfl,
     make_nutrient_workspace,
     nutrient_energy_check,
-    skew_convection_check,
     step_nutrient,
 )
 
