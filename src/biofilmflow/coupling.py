@@ -168,7 +168,7 @@ def picard_step(stepper, state, g):
     vol = grid.cell_volume
     # the predictor sees only the old velocity and the forcing, not the
     # biomass iterate, so every coupling round projects the same v*
-    v_star, predict_iters, viscous = predict_velocity(stepper.flow_ws, state.v, g)
+    v_star, _, viscous = predict_velocity(stepper.flow_ws, state.v, g)
     uk = state.u
     # each round's projection starts from the previous round's
     # multipliers and its Newton solve from the previous round's
@@ -253,7 +253,6 @@ def picard_step(stepper, state, g):
         nutrient_sq=nutrient_sq,
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),
         forcing_sq=ops.face_l2_sq(list(g.comps), vol),
-        predict_iters=predict_iters,
     )
     return new_state, diag
 

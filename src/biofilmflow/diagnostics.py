@@ -116,7 +116,6 @@ class StepDiagnostics:
     nutrient_sq: float = 0.0
     nutrient_grad_sq: float = 0.0
     forcing_sq: float = 0.0
-    predict_iters: int = 0
 
 
 CSV_COLUMNS = (

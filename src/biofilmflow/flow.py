@@ -13,7 +13,8 @@ exactly skew against the new iterate and the discrete kinetic-energy
 inequality holds with no quadrature defect. Its viscous part is
 diagonal in a sine basis (DST-I along a component's own axis, DST-II
 across it) and solved exactly by the orthonormal transform matrices of
-``operators.trig_matrix``; the eigenvalues are cached per grid. The
+``operators.trig_matrix``; its eigenvalues are ``operators.spectrum``'s,
+the table the projection's cosine Poisson solve divides by too. The
 predictor does not depend on the biomass, so it runs once per time
 step; only the projection sees the biomass iterate. The projection
 onto K(r) is solved in its dual, one multiplier per cell for the speed
@@ -28,14 +29,14 @@ the same step and starts every step from zero, so a step depends on its
 start state only. The coupling loop may also ask for a looser stopping
 tolerance than FEAS_TOL/STEP_TOL (its first round does); the report
 then says whether the result met the tight ones anyway, which it does
-at once where the obstacle is inactive. The potential of the final
-affine projection, divided by dt, serves as the pressure.
+at once where the obstacle is inactive. The divergence bound has a
+floor at the rounding an exact affine projection leaves. The potential
+of the final affine projection, divided by dt, serves as the pressure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from .mollify import build_cutoff, mollifier, mollify_array
 FEAS_TOL = 1e-9
 STEP_TOL = 1e-9
 PROJECT_MAX_ITERS = 200000
+# floor under the divergence bound in units of eps max|x| / min(h), which
+# is about what rounding leaves in an exact affine projection x
+DIV_ROUNDING = 256
 # Anderson acceleration of the projection: residual history length,
 # Tikhonov weight relative to the trace of the Gram matrix
 ANDERSON_DEPTH = 10
@@ -72,8 +76,8 @@ class FlowStepReport:
     needed from there: one where the obstacle is inactive, up to a few
     hundred where it binds on a dense block. lam holds the final
     multipliers as one (dim, *cells) array. tight tells whether the
-    projection met FEAS_TOL and STEP_TOL, whatever tolerance it was asked
-    to stop at."""
+    projection met FEAS_TOL (for the divergence, or its rounding floor)
+    and STEP_TOL, whatever tolerance it was asked to stop at."""
 
     dykstra_sweeps: int
     max_excess: float
@@ -108,31 +112,17 @@ def make_flow_workspace(grid, params, dt):
     )
 
 
-def _laplace_1d_eig(n, h, k):
-    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2 of a 1D sine-basis stencil."""
-    return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+def _sine_kinds(nd, axis):
+    """Transform per axis for the interior faces of component axis: DST-I
+    along its own axis (Dirichlet nodes), DST-II across it (walls)."""
+    return tuple("dst1" if ax == axis else "dst2" for ax in range(nd))
 
 
-@lru_cache(maxsize=32)
 def _sine_eigenvalues(grid, axis):
     """Eigenvalues of the vector-Laplacian block A_axis, laid out on the
-    interior faces of component axis; built once per grid, read-only.
-
-    The block is a Kronecker sum of 1D stencils. Along its own axis the
-    boundary faces are pinned at zero and the n - 1 Dirichlet nodes are
-    diagonalized by DST-I (k = 1..n-1); along the other axes the wall
-    value acts by ghost reflection and the cell stencil (end coefficient
-    3) is diagonalized by DST-II (k = 1..n). Schumann & Sweet, J. Comput.
-    Phys. 75 (1988).
-    """
-    lam = np.zeros(_interior_shape(grid, axis))
-    for ax, n in enumerate(grid.cells):
-        k = np.arange(1, n if ax == axis else n + 1)
-        shape = [1] * grid.dim
-        shape[ax] = k.size
-        lam = lam + _laplace_1d_eig(n, grid.h[ax], k).reshape(shape)
-    lam.setflags(write=False)
-    return lam
+    interior faces of component axis; read-only, one table per grid."""
+    shape = tuple(n - (ax == axis) for ax, n in enumerate(grid.cells))
+    return ops.spectrum(shape, grid.h, _sine_kinds(grid.dim, axis))
 
 
 def _sine_apply(x, diag, axis, op):
@@ -146,23 +136,20 @@ def _sine_apply(x, diag, axis, op):
     """
     if x.size == 0:
         return x.copy()
-    mats = [
-        ops.trig_matrix(n, "dst1" if ax == axis else "dst2")
-        for ax, n in enumerate(x.shape)
-    ]
+    mats = [ops.trig_matrix(n, kind) for n, kind in zip(x.shape, _sine_kinds(x.ndim, axis))]
     return ops.from_basis(op(ops.to_basis(x, mats), diag), mats)
 
 
 def poincare_constant(grid):
     """Discrete Poincare constant: |z| <= L_P ||z||_A for face fields.
 
-    1/sqrt(lambda_min), with lambda_min = sum_ax (2 - 2cos(pi/n_ax))/h_ax^2
-    the smallest eigenvalue shared by every component block (the k = 1
-    mode of each 1D factor, see ``_sine_eigenvalues``). The eigenvalue
-    is shrunk by a hair, as a margin for rounding, so the constant stays
-    a valid upper bound.
+    1/sqrt(lambda_min), with lambda_min the smallest eigenvalue shared by
+    every component block: the first entry of the cells' all-DST-II
+    spectrum, sum_ax (2 - 2cos(pi/n_ax))/h_ax^2. The eigenvalue is
+    shrunk by a hair, as a margin for rounding, so the constant stays a
+    valid upper bound.
     """
-    lam = sum(_laplace_1d_eig(n, h, 1) for n, h in zip(grid.cells, grid.h))
+    lam = ops.spectrum(grid.cells, grid.h, ("dst2",) * grid.dim).flat[0]
     return float(1.0 / np.sqrt(lam * (1.0 - 1e-9)))
 
 
@@ -220,13 +207,13 @@ def _project_affine(comps, h, lam):
     div_h = 0}, with lam a (dim, *cells) array. Zero multipliers give
     y = comps bit for bit, since c - (+0.0) is c.
 
-    Returns (projected comps, potential phi, div_h y: the right-hand
-    side phi solves for). Zeroing the boundary faces and the interior
-    pressure correction are orthogonal steps, so the composition is
-    itself the metric projection onto the affine set. Only interior
-    faces are computed. M^T lam puts half of each cell's multiplier on
-    each of its two faces, summed as a zero-filled face array would sum
-    them, so y has the bits of that full-face composition.
+    Returns (projected comps, potential phi). Zeroing the boundary faces
+    and the interior pressure correction are orthogonal steps, so the
+    composition is itself the metric projection onto the affine set.
+    Only interior faces are computed. M^T lam puts half of each cell's
+    multiplier on each of its two faces, summed as a zero-filled face
+    array would sum them, so y has the bits of that full-face
+    composition.
     """
     nd = len(comps)
     inner = [ops.axslice(nd, ax, slice(1, -1)) for ax in range(nd)]
@@ -241,7 +228,7 @@ def _project_affine(comps, h, lam):
     phi = ops.poisson_neumann(rhs, h)
     for ax, yc in enumerate(y):
         yc[inner[ax]] -= np.diff(phi, axis=ax) / h[ax]
-    return y, phi, rhs
+    return y, phi
 
 
 def pressure_project(v, dt):
@@ -251,7 +238,7 @@ def pressure_project(v, dt):
     is mean-zero.
     """
     grid = v.grid
-    out, phi, _ = _project_affine(v.comps, grid.h, np.zeros((grid.dim, *grid.cells)))
+    out, phi = _project_affine(v.comps, grid.h, np.zeros((grid.dim, *grid.cells)))
     return VectorField(grid, tuple(out)), ScalarField(grid, phi / dt)
 
 
@@ -302,16 +289,17 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     primal increment to be below step_tol; plain feasibility is reached
     early by iterates that are still far from the projection, so it
     alone is not a safe stop. The divergence and the increment are
-    measured only once the excess is under feas_tol. The pressure is the
-    potential of the final affine projection over dt. A non-finite
-    excess or divergence (speeds whose squares overflow) raises
-    StabilityError at once; no iteration can recover from it.
+    measured only once the excess is under feas_tol. The divergence bound
+    is at least DIV_ROUNDING eps max|x| / min(h), so fast fields stop too.
+    The pressure is the potential of the final affine projection over dt.
+    A non-finite excess or divergence (speeds whose squares overflow)
+    raises StabilityError at once; no iteration can recover from it.
     """
     grid = v.grid
     h = grid.h
     if lam is None:
         lam = np.zeros((grid.dim, *r.shape))
-    x, phi, _ = _project_affine(v.comps, h, lam)
+    x, phi = _project_affine(v.comps, h, lam)
     m = ops.center_average(x)
     f_prev = g_prev = hist = None
     best, cols = np.inf, 0
@@ -349,7 +337,7 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                 lam_new = g - corr
             best = min(best, fsq)
             f_prev, g_prev = f, g
-            x_new, phi, _ = _project_affine(v.comps, h, lam_new)
+            x_new, phi = _project_affine(v.comps, h, lam_new)
             m_new = ops.center_average(x_new)
         excess = float(np.max(ops.cell_norm(m_new) - r))
         if excess <= feas_tol or not np.isfinite(excess):
@@ -361,13 +349,15 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                     residual=max(excess, dv),
                 )
             inc = max(float(np.abs(a - b).max()) for a, b in zip(x_new, x))
-            if dv <= feas_tol and inc <= step_tol:
+            scale = max(float(np.abs(c).max()) for c in x_new)
+            floor = DIV_ROUNDING * np.finfo(float).eps * scale / min(h)
+            if dv <= max(feas_tol, floor) and inc <= step_tol:
                 report = FlowStepReport(
                     dykstra_sweeps=it + 1,
                     max_excess=excess,
                     max_div=dv,
                     lam=lam_new,
-                    tight=excess <= FEAS_TOL and dv <= FEAS_TOL and inc <= STEP_TOL,
+                    tight=excess <= FEAS_TOL and dv <= max(FEAS_TOL, floor) and inc <= STEP_TOL,
                 )
                 return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), report
         lam, x_prev, x, m = lam_new, x, x_new, m_new
@@ -444,12 +434,6 @@ def predict_velocity(ws, v, g):
             "reduce dt or the forcing"
         )
     return comps, iters, viscous
-
-
-def _interior_shape(grid, axis):
-    shape = list(grid.cells)
-    shape[axis] -= 1
-    return tuple(shape)
 
 
 def step_flow(ws, v_star, u, lam=None, tol=None):

@@ -4,9 +4,11 @@ Everything here works for 2D and 3D alike by slicing along a runtime
 axis. The orthonormal DCT-II, DST-I and DST-II are dense matrices built
 once per size from their closed forms and applied along each axis by a
 matrix product; the inverse is the transpose, so a diagonalization by
-them is exact to rounding. On grids of at most 64 cells per axis the
-products beat an FFT library's call overhead; on 128^2 the cosine
-Poisson solve is about 1.4 times slower. Conventions used throughout:
+them is exact to rounding. ``spectrum`` holds the eigenvalues that
+every such solve divides by, the flow predictor's sine solves included.
+On grids of at most 64 cells per axis the products beat an FFT
+library's call overhead; on 128^2 the cosine Poisson solve is about 1.4
+times slower. Conventions used throughout:
 
 * velocity components carry their boundary faces; a component is zero
   on its own-axis boundary faces (no-penetration) and the wall value of
@@ -140,23 +142,31 @@ def from_basis(coef, mats):
 
 
 # ---------------------------------------------------------------------------
-# Poisson solve with pure no-flux boundaries (cosine diagonalization)
+# Spectra of the transforms, and the no-flux Poisson solve
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _neumann_eigenvalues(cells, h):
-    """Cosine-basis eigenvalues of the no-flux Laplacian, read-only.
+@lru_cache(maxsize=64)
+def spectrum(shape, h, kinds):
+    """Eigenvalues of -Laplacian in the separable basis of ``kinds``, one
+    per coefficient of a ``shape`` array; read-only.
 
-    The zero eigenvalue of the constant mode is replaced by 1, so the
-    solve can divide by every entry before it zeroes that mode.
+    Transform kinds[ax] diagonalizes a 1D second difference with spacing
+    h[ax] on m = shape[ax] unknowns, with the eigenvalues
+    (2 - 2 cos(pi k / n)) / h^2 (Schumann & Sweet, J. Comput. Phys. 75,
+    1988): dst1 on Dirichlet nodes, k = 1..m, n = m + 1; dst2 on cells
+    with ghost-reflected walls (end coefficient 3), k = 1..m, n = m; dct2
+    on no-flux cells, k = 0..m-1, n = m. The result is their Kronecker
+    sum, added in axis order. The one zero eigenvalue, the constant mode
+    when every axis is dct2, is stored as 1, so a solve can divide by
+    every entry before it zeroes that mode.
     """
-    lam = np.zeros(cells)
-    for ax, n in enumerate(cells):
-        la = (2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / h[ax] ** 2
-        shape = [1] * len(cells)
-        shape[ax] = n
-        lam = lam + la.reshape(shape)
-    lam.flat[0] = 1.0
+    lam = np.zeros(shape)
+    for ax, (m, kind) in enumerate(zip(shape, kinds)):
+        k0, n_extra = {"dst1": (1, 1), "dst2": (1, 0), "dct2": (0, 0)}[kind]
+        la = (2.0 - 2.0 * np.cos(np.pi * np.arange(k0, m + k0) / (m + n_extra))) / h[ax] ** 2
+        lam = lam + la.reshape([m if a == ax else 1 for a in range(len(shape))])
+    if all(kind == "dct2" for kind in kinds):
+        lam.flat[0] = 1.0
     lam.setflags(write=False)
     return lam
 
@@ -169,10 +179,10 @@ def poisson_neumann(rhs, h):
     any compatibility defect in the right-hand side.
     """
     mats = [trig_matrix(n, "dct2") for n in rhs.shape]
-    coef = to_basis(rhs, mats) / _neumann_eigenvalues(rhs.shape, tuple(h))
+    coef = to_basis(rhs, mats) / spectrum(rhs.shape, tuple(h), ("dct2",) * rhs.ndim)
     coef.flat[0] = 0.0
-    phi = from_basis(coef, mats)
-    return phi - phi.mean()
+    neg = from_basis(coef, mats)  # the solution negated: spectrum is that of -Laplacian
+    return neg.mean() - neg
 
 
 # ---------------------------------------------------------------------------

@@ -374,10 +374,9 @@ def test_project_affine_equals_the_composed_projection(cells):
         rhs = ops.divergence(y, g.h)
         phi = ops.poisson_neumann(rhs, g.h)
         ref = [a - b for a, b in zip(y, gradient_faces(phi, g.h))]
-        x, phi_got, rhs_got = flow._project_affine(field, g.h, mult)
+        x, phi_got = flow._project_affine(field, g.h, mult)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(x, ref))
         assert phi_got.tobytes() == phi.tobytes()
-        assert rhs_got.tobytes() == rhs.tobytes()
 
 
 # --- metric projection onto the constraint set -------------------------------
@@ -420,8 +419,7 @@ def test_project_K_fails_fast_on_nonfinite_speeds(params):
 
 
 def test_project_K_that_cannot_settle_hits_the_iteration_cap(params, monkeypatch):
-    # at speeds of 1e8 rounding alone leaves the affine projection's
-    # divergence far above FEAS_TOL, so no iterate passes the test; the
+    # a negative increment bound lets no iterate pass the test; the
     # inactive obstacle keeps the dual point fixed, and a history of zero
     # residual differences must still end at the cap, not in a singular
     # least-squares solve
@@ -430,7 +428,21 @@ def test_project_K_that_cannot_settle_hits_the_iteration_cap(params, monkeypatch
     rng = np.random.default_rng(14)
     v = VectorField(g, tuple(1e8 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
     with pytest.raises(NonConvergenceError, match="did not settle in 30 iterations"):
-        project_K(v, np.full(g.cells, 1e12), dt=1.0)
+        project_K(v, np.full(g.cells, 1e12), dt=1.0, step_tol=-1.0)
+
+
+def test_project_K_of_a_fast_field_stops_at_its_rounding_floor(params):
+    # at speeds of 1e8 rounding alone leaves the exact affine projection's
+    # divergence near 1e-5, far above FEAS_TOL; the bound's rounding floor
+    # accepts it at once, where an absolute bound ran the whole budget
+    g = Grid((1.0, 1.0), (16, 16))
+    rng = np.random.default_rng(14)
+    v = VectorField(g, tuple(1e8 * rng.standard_normal(g.face_shape(ax)) for ax in range(2)))
+    out, _, rep = project_K(v, np.full(g.cells, 1e12), dt=1.0)
+    assert rep.dykstra_sweeps == 1
+    scale = max(np.abs(c).max() for c in out.comps)
+    assert flow.FEAS_TOL < rep.max_div <= flow.DIV_ROUNDING * np.finfo(float).eps * scale / min(g.h)
+    assert rep.tight
 
 
 @pytest.mark.filterwarnings("error")

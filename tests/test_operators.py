@@ -1,5 +1,7 @@
 """Checks of the discrete operator kernels against dense references."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -15,6 +17,9 @@ from conftest import (
     component_laplacian,
     gradient_faces,
     interp_centers_adjoint,
+    kron_sum,
+    laplace_1d,
+    laplace_1d_nodes,
     neumann_laplacian_apply,
     potential_field_3d,
     scalar_laplacian_csr,
@@ -250,7 +255,7 @@ def test_poisson_neumann_eigenvalue_cache_stays_fixed():
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.cells)
     first = ops.poisson_neumann(rhs, g.h)
-    lam = ops._neumann_eigenvalues(g.cells, g.h)
+    lam = ops.spectrum(g.cells, g.h, ("dct2", "dct2"))
     assert not lam.flags.writeable
     before = lam.copy()
     ops.poisson_neumann(rng.standard_normal(g.cells), g.h)
@@ -290,11 +295,55 @@ def test_trig_matrices_orthonormal_and_equal_to_scipy_fft(kind):
         assert np.abs(mat - _SCIPY_ORTHO[kind](eye)).max() <= 1e-14, n
 
 
+# the assembled 1D stencil that each transform kind diagonalizes, on m unknowns
+_STENCIL_1D = {
+    "dst1": lambda m, h: laplace_1d_nodes(m + 1, h),
+    "dst2": lambda m, h: laplace_1d(m, h, "dirichlet_face", "dirichlet_face"),
+    "dct2": lambda m, h: laplace_1d(m, h, "neumann", "neumann"),
+}
+
+
+def _assembled_eigenvalues(shape, h, kinds):
+    op = kron_sum([_STENCIL_1D[kind](m, hh) for m, hh, kind in zip(shape, h, kinds)])
+    return np.linalg.eigvalsh(op.toarray())
+
+
+@pytest.mark.parametrize(
+    "shape, h, kinds",
+    [((m,), (0.3,), (kind,)) for kind in sorted(_STENCIL_1D) for m in (1, 2, 7, 16)]
+    + [((5, 4), (0.2, 0.3), kinds) for kinds in itertools.product(sorted(_STENCIL_1D), repeat=2)]
+    + [
+        ((1, 9), (0.2, 0.1), ("dct2", "dst2")),
+        ((3, 4, 5), (0.5, 0.3, 0.2), ("dst2", "dst1", "dct2")),
+        ((4, 3, 2), (0.1, 0.2, 0.3), ("dct2", "dct2", "dct2")),
+    ],
+)
+def test_spectrum_equals_assembled_stencil_eigenvalues(shape, h, kinds):
+    lam = ops.spectrum(shape, h, kinds)
+    assert lam.shape == shape
+    got = lam.copy()
+    if all(kind == "dct2" for kind in kinds):
+        # the constant mode's zero eigenvalue, and only it, is stored as 1
+        assert got.flat[0] == 1.0
+        got.flat[0] = 0.0
+    ref = _assembled_eigenvalues(shape, h, kinds)
+    assert np.abs(np.sort(got.ravel()) - ref).max() <= 1e-12 * ref.max()
+
+
+def test_spectrum_is_read_only_and_shared():
+    lam = ops.spectrum((6, 5, 3), (0.5, 0.25, 1.0), ("dst1", "dst2", "dct2"))
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0, 0, 0] = 2.0
+    assert ops.spectrum((6, 5, 3), (0.5, 0.25, 1.0), ("dst1", "dst2", "dct2")) is lam
+    assert ops.spectrum((6, 5, 3), (0.5, 0.25, 1.0), ("dst1", "dst2", "dst2")) is not lam
+
+
 @pytest.mark.parametrize("cells", [(6, 5), (40, 17), (1, 9), (24, 7, 11), (5, 1, 3)])
 def test_poisson_neumann_matches_scipy_cosine_transform(cells):
     h = tuple(0.3 + 0.1 * ax for ax in range(len(cells)))
     rhs = np.random.default_rng(sum(cells)).standard_normal(cells)
-    coef = fft.dctn(rhs, type=2) / ops._neumann_eigenvalues(cells, h)
+    coef = fft.dctn(rhs, type=2) / -ops.spectrum(cells, h, ("dct2",) * len(cells))
     coef.flat[0] = 0.0
     ref = fft.idctn(coef, type=2)
     ref -= ref.mean()
