@@ -76,7 +76,7 @@ def main():
             max(-d.u_min, d.u_max - p.u_star, -d.w_min, d.w_max - 1.0) for d in diags
         )
         flow_ratio = flow_energy_check(
-            [0.0] + [d.kinetic_sq for d in diags],
+            [0.0] + [2.0 * d.kinetic_energy for d in diags],
             [d.viscous_grad_sq for d in diags],
             [d.forcing_sq for d in diags],
             p.nu,

@@ -225,7 +225,6 @@ def picard_step(stepper, state, g):
         )
 
     new_state = SimState(t=state.t + cc.dt, u=u_new, w=w_new, v=v_new, P=pressure)
-    kinetic_sq = ops.face_l2_sq(list(v_new.comps), vol)
     nutrient_sq = ops.scalar_l2_sq(w_new.values, vol)
     diag = StepDiagnostics(
         step=-1,
@@ -235,7 +234,7 @@ def picard_step(stepper, state, g):
         u_max=bio_rep.pre_clamp_max,
         w_min=nut_rep.pre_clamp_min,
         w_max=nut_rep.pre_clamp_max,
-        kinetic_energy=0.5 * kinetic_sq,
+        kinetic_energy=0.5 * ops.face_l2_sq(list(v_new.comps), vol),
         phi_u=biomass_energy(u_new, stepper.params),
         nutrient_l2=float(np.sqrt(nutrient_sq)),
         max_constraint_excess=flow_rep.max_excess,
@@ -248,7 +247,6 @@ def picard_step(stepper, state, g):
         round_projection_iters=projection_iters,
         round_newton_iters=newton_iters,
         round_krylov_iters=krylov_iters,
-        kinetic_sq=kinetic_sq,
         viscous_grad_sq=viscous,
         nutrient_sq=nutrient_sq,
         nutrient_grad_sq=ops.gradient_sq_sum(w_new.values, grid.h, vol),

@@ -111,7 +111,6 @@ class StepDiagnostics:
     round_projection_iters: list = field(default_factory=list)
     round_newton_iters: list = field(default_factory=list)
     round_krylov_iters: list = field(default_factory=list)
-    kinetic_sq: float = 0.0
     viscous_grad_sq: float = 0.0
     nutrient_sq: float = 0.0
     nutrient_grad_sq: float = 0.0

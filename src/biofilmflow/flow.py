@@ -15,8 +15,10 @@ diagonal in a sine basis (DST-I along a component's own axis, DST-II
 across it) and solved exactly by the orthonormal transform matrices of
 ``operators.trig_matrix``; its eigenvalues are ``operators.spectrum``'s,
 the table the projection's cosine Poisson solve divides by too. The
-predictor does not depend on the biomass, so it runs once per time
-step; only the projection sees the biomass iterate. The projection
+viscous form (A v*, v*) of the energy inequality is read from v*'s
+coefficients in that basis, so A is never applied. The predictor does
+not depend on the biomass, so it runs once per time step; only the
+projection sees the biomass iterate. The projection
 onto K(r) is solved in its dual, one multiplier per cell for the speed
 ball, by a proximal gradient iteration with Anderson acceleration: each
 iteration is one exact affine projection (a cosine transform Poisson
@@ -125,19 +127,18 @@ def _sine_eigenvalues(grid, axis):
     return ops.spectrum(shape, grid.h, _sine_kinds(grid.dim, axis))
 
 
-def _sine_apply(x, diag, axis, op):
-    """Combine the interior faces x of component axis with a diagonal in
-    the orthonormal sine basis of ``_sine_eigenvalues``: transform,
-    op(coefficients, diag), transform back.
+def _sine_apply(x, diag, axis):
+    """Apply the inverse of the Helmholtz block I + dt nu A_axis to the
+    interior faces x of component axis, diag its eigenvalues
+    1 + dt nu (``_sine_eigenvalues``): transform, divide, transform back.
 
-    With np.multiply and the eigenvalues this applies A_axis; with
-    np.divide and 1 + dt nu (eigenvalues) it solves the Helmholtz block
-    I + dt nu A_axis exactly.
+    Returns (solution, its coefficients in the orthonormal sine basis).
     """
     if x.size == 0:
-        return x.copy()
+        return x.copy(), x.copy()
     mats = [ops.trig_matrix(n, kind) for n, kind in zip(x.shape, _sine_kinds(x.ndim, axis))]
-    return ops.from_basis(op(ops.to_basis(x, mats), diag), mats)
+    coef = ops.to_basis(x, mats) / diag
+    return ops.from_basis(coef, mats), coef
 
 
 def poincare_constant(grid):
@@ -151,22 +152,6 @@ def poincare_constant(grid):
     """
     lam = ops.spectrum(grid.cells, grid.h, ("dst2",) * grid.dim).flat[0]
     return float(1.0 / np.sqrt(lam * (1.0 - 1e-9)))
-
-
-def vector_laplacian(grid, comps):
-    """A v for a face field, component by component; boundary faces stay 0.
-
-    A_ax acts on the interior faces of component ax and is applied in the
-    sine basis that diagonalizes it, the basis the predictor solves in.
-    """
-    return [
-        ops.embed_interior(
-            _sine_apply(ops.interior_faces(c, ax), _sine_eigenvalues(grid, ax), ax, np.multiply),
-            grid,
-            ax,
-        )
-        for ax, c in enumerate(comps)
-    ]
 
 
 def obstacle_density(u_values, cutoff, smoother, u_star):
@@ -190,17 +175,6 @@ def workspace_obstacle(ws, u):
 # ---------------------------------------------------------------------------
 # Elementary projections
 # ---------------------------------------------------------------------------
-
-def _zero_normal_boundary(comps):
-    nd = len(comps)
-    out = []
-    for ax, c in enumerate(comps):
-        c = c.copy()
-        c[ops.axslice(nd, ax, 0)] = 0.0
-        c[ops.axslice(nd, ax, -1)] = 0.0
-        out.append(c)
-    return out
-
 
 def _project_affine(comps, h, lam):
     """Exact projection of y = comps - M^T lam onto {zero boundary faces,
@@ -384,7 +358,10 @@ def predict_velocity(ws, v, g):
     contract is reported as a stability problem (the remedy is a smaller
     dt). The predictor does not see the biomass, so a time step needs it
     once, before the coupling iteration. Returns (comps list, iterations,
-    viscous form (A v*, v*) h^n).
+    viscous form (A v*, v*) h^n). The form is h^n sum_ax sum lambda c^2
+    over the last pass's sine coefficients c of v* and the eigenvalues
+    lambda of A_ax: the basis is orthonormal, so this is (A v*, v*) h^n
+    to rounding.
     """
     grid = ws.grid
     dt = ws.dt
@@ -392,23 +369,21 @@ def predict_velocity(ws, v, g):
         ops.interior_faces(vc, ax) + dt * ops.interior_faces(gc, ax)
         for ax, (vc, gc) in enumerate(zip(v.comps, g.comps))
     ]
-    comps = _zero_normal_boundary(v.comps)
+    comps = [
+        ops.embed_interior(ops.interior_faces(c, ax), grid, ax) for ax, c in enumerate(v.comps)
+    ]
     iters = 0
     for it in range(PREDICT_MAX_ITERS):
+        # the last pass's coefficients give the viscous form; the previous
+        # pass's go before this one allocates, which keeps block2d's peak RSS
+        new, coefs = [], []
         adv = ops.mac_advection(v.comps, comps, grid.h)
-        new = [
-            ops.embed_interior(
-                _sine_apply(
-                    rhs[ax] - dt * ops.interior_faces(adv[ax], ax),
-                    ws.helmholtz_eig[ax],
-                    ax,
-                    np.divide,
-                ),
-                grid,
-                ax,
+        for ax in range(grid.dim):
+            x, c = _sine_apply(
+                rhs[ax] - dt * ops.interior_faces(adv[ax], ax), ws.helmholtz_eig[ax], ax
             )
-            for ax in range(grid.dim)
-        ]
+            new.append(ops.embed_interior(x, grid, ax))
+            coefs.append(c)
         if not all(np.isfinite(a).all() for a in new):
             raise StabilityError(
                 "velocity predictor produced non-finite values; reduce dt or the forcing"
@@ -427,7 +402,10 @@ def predict_velocity(ws, v, g):
         )
     # a finite v* can still overflow here; report that as an error, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        viscous = ops.face_dot(vector_laplacian(grid, comps), comps, grid.cell_volume)
+        viscous = float(
+            sum(np.sum(_sine_eigenvalues(grid, ax) * c * c) for ax, c in enumerate(coefs))
+            * grid.cell_volume
+        )
     if not np.isfinite(viscous):
         raise StabilityError(
             "velocity predictor's viscous form (A v*, v*) is non-finite; "

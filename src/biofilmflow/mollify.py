@@ -8,9 +8,10 @@ property everything else leans on. A single-entry stencil is the
 identity. Fields are extended by zero outside the box before convolving,
 so cells near the boundary lose mass by design. The convolution is an
 ``operators.Stencil`` built once per (radius, grid) and shared by every
-solver; each cell sums the taps in the order scipy.ndimage.correlate
-does, so the result equals ndimage's bit for bit. The boundary cutoff is
-a read-only cell array, likewise built once per (grid, mu).
+solver and by the random-smooth initial-data preset; each cell sums the
+taps in the order scipy.ndimage.correlate does, so the result equals
+ndimage's bit for bit. The boundary cutoff is a read-only cell array,
+likewise built once per (grid, mu).
 """
 
 from __future__ import annotations
@@ -58,23 +59,18 @@ def build_kernel(radius, grid):
 
 @lru_cache(maxsize=16)
 def mollifier(radius, grid):
-    """``correlation_stencil`` of ``build_kernel(radius, grid)``, built
-    once per (radius, grid) and shared by the solvers."""
-    return correlation_stencil(build_kernel(radius, grid), grid.cells)
-
-
-def correlation_stencil(w, cells):
-    """Zero-extended correlation of cell arrays with the stencil w (odd
-    extent per axis) as a ``Stencil``.
+    """Zero-extended correlation of cell arrays with ``build_kernel(radius,
+    grid)`` as a ``Stencil``, built once per (radius, grid) and shared.
 
     For the symmetric mollifier kernels correlation and convolution
     agree. The taps run in kernel C order, scipy.ndimage.correlate's
     order, and like ndimage it drops taps with |w| <= DBL_EPSILON, which
     keeps the result bit for bit equal to ndimage's mode="constant".
     """
+    w = build_kernel(radius, grid)
     taps = np.argwhere(np.abs(w) > np.finfo(float).eps)  # C order
     offsets = taps - (np.array(w.shape) - 1) // 2
-    return Stencil(cells, zip(offsets, w[tuple(taps.T)].tolist()))
+    return Stencil(grid.cells, zip(offsets, w[tuple(taps.T)].tolist()))
 
 
 def mollify_array(values, smoother):

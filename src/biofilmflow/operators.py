@@ -360,10 +360,6 @@ def face_l2_sq(comps, cell_volume):
     return float(sum(np.sum(c * c) for c in comps) * cell_volume)
 
 
-def face_dot(a, b, cell_volume):
-    return float(sum(np.sum(x * y) for x, y in zip(a, b)) * cell_volume)
-
-
 def gradient_sq_sum(values, h, cell_volume):
     """Sum over interior faces of squared differences / h^2, h^n-weighted."""
     nd = values.ndim

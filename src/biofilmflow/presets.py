@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ScalarField, VectorField
-from .mollify import build_kernel, correlation_stencil, mollify_array
+from .mollify import mollifier, mollify_array
 
 
 def _parse_tokens(spec, what):
@@ -120,7 +120,7 @@ def build_scalar(spec, grid, rng, lo=0.0, hi=np.inf, what="scalar field"):
         if corr <= 0:
             raise ConfigError("random-smooth corr must be positive")
         noise = rng().standard_normal(grid.cells)
-        smooth = mollify_array(noise, correlation_stencil(build_kernel(corr, grid), grid.cells))
+        smooth = mollify_array(noise, mollifier(corr, grid))
         span = smooth.max() - smooth.min()
         if span > 0:
             smooth = (smooth - smooth.min()) / span

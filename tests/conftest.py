@@ -11,6 +11,9 @@ The convection probes of C05 and the variational-inequality oracle of
 C11 are the exception, on purpose: they check discrete identities of
 the solver's own operators (skewness of its advection forms, the summed
 inequality of its flow steps), so they are built from those operators.
+The oracle applies the viscous operator A through the assembled
+``component_laplacian`` blocks, though, not through the solver's sine
+transforms.
 The spies watch the coupling loop's inner solves without changing them.
 """
 
@@ -27,7 +30,7 @@ from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, mi
 from biofilmflow import coupling
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, biomass_diffusion_reg_deriv
-from biofilmflow.flow import vector_laplacian, workspace_obstacle
+from biofilmflow.flow import workspace_obstacle
 from biofilmflow.grid import Grid, VectorField, build_grid, edge_axis_side
 
 
@@ -53,6 +56,11 @@ def grid16_walls():
 
 def make_rng(seed):
     return np.random.default_rng(seed)
+
+
+def face_dot(a, b, cell_volume):
+    """Inner product of two face fields, every face weighted by h^n."""
+    return float(sum(np.sum(x * y) for x, y in zip(a, b)) * cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +484,7 @@ def convection_form(a, b, c, grid):
     """Trilinear form <N(a, b), c> of ``ops.mac_advection`` with h^n face
     weights."""
     adv = ops.mac_advection(a.comps, list(b.comps), grid.h)
-    return ops.face_dot(adv, list(c.comps), grid.cell_volume)
+    return face_dot(adv, list(c.comps), grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +566,19 @@ def vi_residual(traj, etas, feas_tol=1e-7):
             )
 
     def dot(a, b):
-        return ops.face_dot(list(a), list(b), vol)
+        return face_dot(list(a), list(b), vol)
 
     def norm_sq(a):
         return ops.face_l2_sq(list(a), vol)
+
+    blocks = [component_laplacian(grid, ax) for ax in range(grid.dim)]
+
+    def apply_a(comps):
+        out = []
+        for ax, c in enumerate(comps):
+            x = ops.interior_faces(c, ax)
+            out.append(ops.embed_interior((blocks[ax] @ x.ravel()).reshape(x.shape), grid, ax))
+        return out
 
     def diff(a, b):
         return [x - y for x, y in zip(a, b)]
@@ -580,8 +597,7 @@ def vi_residual(traj, etas, feas_tol=1e-7):
         lhs += dot(deta, diff(vn, eta_prev)) - 0.5 * norm_sq(deta)
         lhs += 0.5 * norm_sq(diff(vn1, vn))
 
-        a_star = vector_laplacian(grid, star)
-        lhs += dt * traj.nu * dot(a_star, test)
+        lhs += dt * traj.nu * dot(apply_a(star), test)
         adv = ops.mac_advection(list(vn), list(star), h)
         lhs += dt * dot(adv, test)
         rhs += dt * dot(traj.g[n], test)

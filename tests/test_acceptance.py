@@ -167,7 +167,7 @@ def test_energy_inequalities(ensemble):
     worst_flow = 0.0
     worst_nut = 0.0
     for cfg, diags, w_sq0 in ensemble:
-        kin = [0.0] + [d.kinetic_sq for d in diags]
+        kin = [0.0] + [2.0 * d.kinetic_energy for d in diags]
         visc = [d.viscous_grad_sq for d in diags]
         forc = [d.forcing_sq for d in diags]
         worst_flow = max(

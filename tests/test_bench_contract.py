@@ -1,23 +1,31 @@
-"""The names perfbench/tracing.py traces still exist in the package.
+"""The benchmark's drivers still run on the package.
 
-The tracer skips a layer whose function is missing and reads report
-fields with a default of 0, so a rename in the package alone would
-leave its metric reading 0 on working code. These tests read the
-tracer's table without importing it as a module, so they write
-nothing under perfbench/.
+The names perfbench/tracing.py traces still exist: the tracer skips a
+layer whose function is missing and reads report fields with a default
+of 0, so a rename in the package alone would leave its metric reading 0
+on working code. And one episode of each workload, run by run.py's own
+driver, succeeds and writes a series that run.py's own check accepts
+against the stored reference. These tests execute the perfbench sources
+from their text with bytecode off, in this process and in the episode,
+so they write nothing under perfbench/.
 """
 
 import dataclasses
 import importlib
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import biofilmflow
 from biofilmflow.biomass import BiomassStepReport
 from biofilmflow.diagnostics import StepDiagnostics
 from biofilmflow.flow import FlowStepReport
 
-TRACING = Path(biofilmflow.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+PERFBENCH = Path(biofilmflow.__file__).resolve().parents[2] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+RUN = PERFBENCH / "run.py"
 # the sparse LU factorizations are gone from the solver; the
 # perfbench-only change drops their layers
 GONE = {("biofilmflow.flow", "splu"), ("biofilmflow.biomass", "splu")}
@@ -49,3 +57,30 @@ def test_report_fields_the_tracer_counts_exist():
         (StepDiagnostics, "picard_residuals"),
     ):
         assert name in {f.name for f in dataclasses.fields(cls)}, f"{cls.__name__}.{name}"
+
+
+@pytest.fixture(scope="module")
+def run_py():
+    # run.py puts perfbench/ on sys.path to import its siblings
+    mod = types.ModuleType("perfbench_run")
+    mod.__file__ = str(RUN)
+    path, no_bytecode = sys.path[:], sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        exec(compile(RUN.read_text(), str(RUN), "exec"), mod.__dict__)
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = no_bytecode
+    return mod
+
+
+@pytest.mark.parametrize("name", ["demo2d", "block2d", "box3d"])
+def test_bench_episode_succeeds_and_matches_reference(run_py, name, tmp_path, monkeypatch):
+    # the episode inherits this environment, with run.py's thread caps
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    record, series = run_py.run_episode(name, 0, str(tmp_path), traced=False, timeout=300.0)
+    assert record["ok"], record.get("error")
+    ref = run_py.load_reference(name, 0)
+    assert ref is not None
+    _, _, problems = run_py.check_series(run_py.WORKLOADS[name], series, ref)
+    assert problems == []

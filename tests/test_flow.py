@@ -13,6 +13,7 @@ from conftest import (
     constraint_excess,
     convection_form,
     dense_projection_reference,
+    face_dot,
     face_layout,
     gradient_faces,
     interp_centers_adjoint,
@@ -36,7 +37,6 @@ from biofilmflow.flow import (
     predict_velocity,
     project_K,
     step_flow,
-    vector_laplacian,
     workspace_obstacle,
 )
 from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
@@ -239,21 +239,20 @@ def test_helmholtz_transform_solve_residual(params, extents, cells):
         ((1.5, 0.4, 1.0), (4, 1, 3)),
     ],
 )
-def test_vector_laplacian_matches_assembled_operator(extents, cells):
-    # the sine-basis apply against the Kronecker-assembled blocks
+def test_vector_laplacian_matches_assembled_operator(params, extents, cells):
+    # the predictor's viscous form (A v*, v*) h^n, read from its sine
+    # coefficients, against x^T A x h^n of the Kronecker-assembled blocks
     g = build_grid(len(cells), extents, cells, ("left",))
+    ws = make_flow_workspace(g, params, 0.5)
     rng = np.random.default_rng(sum(cells))
-    comps = [rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)]
-    got = vector_laplacian(g, comps)
+    gforce = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)))
+    comps, _, viscous = predict_velocity(ws, VectorField.zeros(g), gforce)
+    ref = 0.0
     for ax in range(g.dim):
-        assert np.abs(got[ax][ops.axslice(g.dim, ax, 0)]).max(initial=0.0) == 0.0
-        assert np.abs(got[ax][ops.axslice(g.dim, ax, -1)]).max(initial=0.0) == 0.0
         x = ops.interior_faces(comps[ax], ax).ravel()
-        ref = component_laplacian(g, ax) @ x
-        if ref.size == 0:
-            continue
-        err = np.linalg.norm(ops.interior_faces(got[ax], ax).ravel() - ref)
-        assert err <= 1e-13 * np.linalg.norm(ref)
+        ref += float(x @ (component_laplacian(g, ax) @ x))
+    ref *= g.cell_volume
+    assert abs(viscous - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize(
@@ -266,8 +265,8 @@ def test_vector_laplacian_matches_assembled_operator(extents, cells):
     ],
 )
 def test_sine_apply_matches_scipy_fft(extents, cells):
-    # the transform matrices against scipy.fft's orthonormal DST-I/DST-II,
-    # for the apply of A and the Helmholtz solve alike
+    # the transform matrices against scipy.fft's orthonormal DST-I/DST-II
+    # in the Helmholtz solve; the coefficients returned are the divided ones
     g = build_grid(len(cells), extents, cells, ("left",))
     rng = np.random.default_rng(sum(cells))
     for ax in range(g.dim):
@@ -276,15 +275,17 @@ def test_sine_apply_matches_scipy_fft(extents, cells):
         if x.size == 0:
             continue
         kinds = [1 if a == ax else 2 for a in range(g.dim)]
-        for op, diag in ((np.multiply, lam), (np.divide, 1.0 + 0.3 * lam)):
-            coef = x
-            for a, kind in enumerate(kinds):
-                coef = fft.dst(coef, type=kind, axis=a, norm="ortho")
-            ref = op(coef, diag)
-            for a, kind in enumerate(kinds):
-                ref = fft.idst(ref, type=kind, axis=a, norm="ortho")
-            got = flow._sine_apply(x, diag, ax, op)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        diag = 1.0 + 0.3 * lam
+        coef = x
+        for a, kind in enumerate(kinds):
+            coef = fft.dst(coef, type=kind, axis=a, norm="ortho")
+        coef = coef / diag
+        ref = coef
+        for a, kind in enumerate(kinds):
+            ref = fft.idst(ref, type=kind, axis=a, norm="ortho")
+        got, got_coef = flow._sine_apply(x, diag, ax)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(got_coef - coef).max() <= 1e-12 * np.abs(coef).max()
 
 
 def test_sine_eigenvalues_built_once_per_grid():
@@ -569,7 +570,7 @@ def test_projection_variational_characterization(params):
         speed = ops.cell_norm(ops.center_average(z.comps)).max()
         z = VectorField(g, tuple(0.9 * 0.3 / speed * c for c in z.comps))
         gap = [a - b for a, b in zip(z.comps, vbar.comps)]
-        inner = ops.face_dot(resid, gap, g.cell_volume)
+        inner = face_dot(resid, gap, g.cell_volume)
         scale = np.sqrt(ops.face_l2_sq(resid, g.cell_volume)) * np.sqrt(
             ops.face_l2_sq(gap, g.cell_volume)
         )
