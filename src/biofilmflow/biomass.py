@@ -14,7 +14,11 @@ reaction terms exact but freezes the convection term (its contribution
 is O(dt |v|/h) and chasing it buys nothing at the step sizes of
 interest). Each Newton system is solved matrix-free by Jacobi-
 preconditioned conjugate gradients on its symmetrized form, to a
-forcing term on the true linear residual (see _newton_direction).
+forcing term on the true linear residual (see _newton_direction). The
+forcing term is ETA, but never tighter than a quarter of NEWTON_TOL
+over the current residual: near convergence a direction is solved only
+as far as the Newton stop can see (the "don't oversolve" safeguard of
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
 
 beta has slope 0 at u = 0+, 1/lambda below zero and a slope that grows
 towards u_star up to its cap value, and Newton on u keeps crossing these
@@ -59,7 +63,8 @@ from .mollify import build_cutoff, mollifier, mollify_array
 # Newton stops once dt times the sup-norm of the residual is below this
 NEWTON_TOL = 1e-11
 # forcing term: each Newton direction leaves a linear residual of at most
-# ETA times the nonlinear one (sup-norms)
+# ETA times the nonlinear one (sup-norms), or dt times it at most
+# NEWTON_TOL / 4 where that is looser
 ETA = 1e-4
 # Newton's unknown tau is the identity of u on [0, _TAU_SPLIT * u_star]
 _TAU_SPLIT = 0.9
@@ -271,11 +276,15 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
 
     # Inexact Newton-Krylov: every iteration takes fresh slopes of beta and
     # solves its Jacobian system to the forcing term eta (_newton_direction),
-    # so nothing is carried from one call to the next. The slopes jump from
-    # 0 to 1/lambda across u = 0 and reach the cap slope near u*, where the
-    # recovered direction amplifies the inner error most; a direction that
-    # the line search cannot use is solved again with eta a thousand times
-    # smaller, down to 1e-10, and only a failure there ends the step.
+    # so nothing is carried from one call to the next. While eta is ETA the
+    # forcing is floored at NEWTON_TOL / (4 res): a direction then leaves
+    # dt times a linear residual of at most NEWTON_TOL / 4, below what the
+    # Newton stop tests for. The floor uses NEWTON_TOL, not tol, so a loose
+    # round is solved as before. The slopes jump from 0 to 1/lambda across
+    # u = 0 and reach the cap slope near u*, where the recovered direction
+    # amplifies the inner error most; a direction that the line search
+    # cannot use is solved again with eta a thousand times smaller and no
+    # floor, down to 1e-10, and only a failure there ends the step.
     # Acceptance is always on the true residual, never on the quality of
     # the inner solve.
     eta = ETA
@@ -296,7 +305,8 @@ def step_biomass(ws, u, w, v, cfg, x0=None, tol=None):
             # the Jacobian in tau is the one in u times diag(U')
             slope *= du
             c = react * du
-        delta, its = _newton_direction(ws, g_vec, slope, c, eta)
+        forcing = max(eta, 0.25 * NEWTON_TOL / res) if eta == ETA else eta
+        delta, its = _newton_direction(ws, g_vec, slope, c, forcing)
         krylov_iters += its
         # backtracking on the sup-norm of the residual
         step = 1.0

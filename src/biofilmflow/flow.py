@@ -61,7 +61,7 @@ DIV_ROUNDING = 256
 # Tikhonov weight relative to the trace of the Gram matrix
 ANDERSON_DEPTH = 10
 ANDERSON_REG = 1e-10
-# predictor fixed point: relative increment bound, iteration cap
+# predictor fixed point: relative error bound, iteration cap
 PREDICT_TOL = 1e-14
 PREDICT_MAX_ITERS = 60
 
@@ -354,7 +354,11 @@ def predict_velocity(ws, v, g):
     Matrix-free fixed point on the convection term; each pass solves the
     Helmholtz part exactly by sine transforms (``_sine_apply``). The
     contraction factor is O(dt |v| / h), so at advective CFL numbers well
-    below one this settles in a handful of iterations. Failure to
+    below one this settles in a handful of iterations. It stops once the
+    increment d_k (sup-norm) is at most PREDICT_TOL max(1, |v*|), or
+    once the error bound rho/(1 - rho) d_k of a contraction is, with
+    rho = d_k / d_(k-1) < 1 the latest observed factor; the second test
+    saves the pass that only confirms a small increment. Failure to
     contract is reported as a stability problem (the remedy is a smaller
     dt). The predictor does not see the biomass, so a time step needs it
     once, before the coupling iteration. Returns (comps list, iterations,
@@ -373,6 +377,7 @@ def predict_velocity(ws, v, g):
         ops.embed_interior(ops.interior_faces(c, ax), grid, ax) for ax, c in enumerate(v.comps)
     ]
     iters = 0
+    prev = 0.0
     for it in range(PREDICT_MAX_ITERS):
         # the last pass's coefficients give the viscous form; the previous
         # pass's go before this one allocates, which keeps block2d's peak RSS
@@ -392,8 +397,13 @@ def predict_velocity(ws, v, g):
         scale = max(1.0, max(float(np.abs(a).max(initial=0.0)) for a in new))
         comps = new
         iters = it + 1
-        if diff <= PREDICT_TOL * scale:
+        bound = PREDICT_TOL * scale
+        # a map contracting by rho leaves v* within rho / (1 - rho) diff of
+        # its fixed point; prev > 0 here, since diff = 0 stops at once
+        rho = diff / prev if it else 1.0
+        if diff <= bound or (rho < 1.0 and rho / (1.0 - rho) * diff <= bound):
             break
+        prev = diff
     else:
         raise StabilityError(
             "velocity predictor fixed point failed to contract; "

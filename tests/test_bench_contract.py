@@ -3,11 +3,13 @@
 The names perfbench/tracing.py traces still exist: the tracer skips a
 layer whose function is missing and reads report fields with a default
 of 0, so a rename in the package alone would leave its metric reading 0
-on working code. And one episode of each workload, run by run.py's own
-driver, succeeds and writes a series that run.py's own check accepts
-against the stored reference. These tests execute the perfbench sources
-from their text with bytecode off, in this process and in the episode,
-so they write nothing under perfbench/.
+on working code. The values it unpacks keep their shape: the
+predictor's pass count is its second return value. And one episode of
+each workload, run by run.py's own driver, succeeds and writes a series
+that run.py's own check accepts against the stored reference. These
+tests execute the perfbench sources from their text with bytecode off,
+in this process and in the episode, so they write nothing under
+perfbench/.
 """
 
 import dataclasses
@@ -16,12 +18,17 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import stream_field_2d
 
 import biofilmflow
 from biofilmflow.biomass import BiomassStepReport
+from biofilmflow.constitutive import ModelParams
 from biofilmflow.diagnostics import StepDiagnostics
-from biofilmflow.flow import FlowStepReport
+from biofilmflow.flow import FlowStepReport, make_flow_workspace, predict_velocity
+from biofilmflow.grid import VectorField, build_grid
 
 PERFBENCH = Path(biofilmflow.__file__).resolve().parents[2] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -57,6 +64,20 @@ def test_report_fields_the_tracer_counts_exist():
         (StepDiagnostics, "picard_residuals"),
     ):
         assert name in {f.name for f in dataclasses.fields(cls)}, f"{cls.__name__}.{name}"
+
+
+def test_predictor_returns_components_passes_and_viscous_form():
+    # a counter of predictor passes reads the second value
+    g = build_grid(2, (1.0, 1.0), (8, 6), ("left",))
+    ws = make_flow_workspace(g, ModelParams(), 1e-2)
+    rng = np.random.default_rng(0)
+    force = VectorField(g, tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim)))
+    out = predict_velocity(ws, stream_field_2d(g, rng), force)
+    assert isinstance(out, tuple) and len(out) == 3
+    comps, passes, viscous = out
+    assert [c.shape for c in comps] == [g.face_shape(ax) for ax in range(g.dim)]
+    assert isinstance(passes, int) and passes > 1
+    assert isinstance(viscous, float) and viscous > 0.0
 
 
 @pytest.fixture(scope="module")

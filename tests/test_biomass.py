@@ -383,9 +383,19 @@ def test_step_converges_with_lambda_above_the_log_branch():
     assert np.array_equal(again.values, out.values)
 
 
-def test_line_search_failure_names_growth_beyond_the_step():
+def test_line_search_failure_names_growth_beyond_the_step(monkeypatch):
     # backward Euler has no nonnegative solution here: growth outruns
-    # 1/dt + b everywhere, and the error says so and what to change
+    # 1/dt + b everywhere, and the error says so and what to change. Each
+    # failed line search solves the direction again a thousand times
+    # tighter, with no floor under the forcing, down to 1e-10
+    forcing = []
+    direction_of = biomass._newton_direction
+
+    def recording_direction(ws, g, s, c, eta):
+        forcing.append(eta)
+        return direction_of(ws, g, s, c, eta)
+
+    monkeypatch.setattr(biomass, "_newton_direction", recording_direction)
     p = ModelParams(k1=20.0)
     g = build_grid(3, (1.0, 1.0, 1.0), (5, 4, 3), ("left",))
     ws = make_biomass_workspace(g, p)
@@ -401,6 +411,35 @@ def test_line_search_failure_names_growth_beyond_the_step():
     assert f"growth outruns 1/dt + b in {c.size} cells" in msg
     assert f"(min 1/dt + b - growth {c.min():.3e})" in msg
     assert msg.endswith("reduce dt")
+    assert forcing == pytest.approx([1e-4, 1e-7, 1e-10], rel=1e-12)
+
+
+def test_forcing_floor_saves_cg_near_convergence(monkeypatch, params):
+    # started near its converged iterate, a tight solve needs directions
+    # only as accurate as the Newton stop can see: the floor
+    # NEWTON_TOL / (4 res) spends fewer CG iterations than ETA alone, and
+    # the step still ends at NEWTON_TOL
+    g = build_grid(2, (1.0, 1.0), (16, 16), ("left",))
+    ws = make_biomass_workspace(g, params)
+    cfg = BiomassStepConfig(dt=1e-3)
+    rng = np.random.default_rng(5)
+    u = ScalarField(g, rng.uniform(0.0, 0.7, g.cells))
+    w = ScalarField(g, rng.uniform(0.2, 1.0, g.cells))
+    v = stream_field_2d(g, rng, amplitude=0.4)
+    _, near = step_biomass(ws, u, w, v, cfg, tol=1e-8)
+    assert near.residual > NEWTON_TOL
+    _, floored = step_biomass(ws, u, w, v, cfg, x0=near.iterate)
+
+    direction_of = biomass._newton_direction
+    monkeypatch.setattr(
+        biomass,
+        "_newton_direction",
+        lambda ws, g, s, c, eta: direction_of(ws, g, s, c, min(eta, biomass.ETA)),
+    )
+    _, plain = step_biomass(ws, u, w, v, cfg, x0=near.iterate)
+    assert floored.residual <= NEWTON_TOL and plain.residual <= NEWTON_TOL
+    assert floored.newton_iters >= 1
+    assert floored.krylov_iters < plain.krylov_iters
 
 
 @pytest.mark.parametrize("react", [-10.0, -60.0])

@@ -198,6 +198,56 @@ def test_predict_matches_direct_helmholtz_solve(params):
         assert np.abs(comps[ax][ops.axslice(2, ax, -1)]).max() == 0.0
 
 
+def test_predict_matches_direct_convective_solve(params):
+    # with a transporting velocity the predictor's fixed point solves
+    # (I + dt nu A + dt N(v_old, .)) v* = v_old + dt g, which couples the
+    # components; assemble N column by column from mac_advection and solve
+    # the whole system directly
+    ws, g = _workspace(params, cells=(12, 10), dt=0.02)
+    rng = np.random.default_rng(4)
+    v = stream_field_2d(g, rng, amplitude=2.0)
+    gforce = _random_zero_boundary(g, rng)
+    comps, passes, _ = predict_velocity(ws, v, gforce)
+    assert passes > 2
+
+    def inner(field):
+        return np.concatenate([ops.interior_faces(c, ax).ravel() for ax, c in enumerate(field)])
+
+    shapes = [ops.interior_faces(c, ax).shape for ax, c in enumerate(v.comps)]
+    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    n = int(ends[-1])
+    conv = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        field = [
+            ops.embed_interior(e[ends[ax]:ends[ax + 1]].reshape(shapes[ax]), g, ax)
+            for ax in range(g.dim)
+        ]
+        conv[:, j] = inner(ops.mac_advection(v.comps, field, g.h))
+    lap = sp.block_diag([component_laplacian(g, ax) for ax in range(g.dim)])
+    system = sp.identity(n) + ws.dt * params.nu * lap + ws.dt * sp.csr_matrix(conv)
+    rhs = inner(v.comps) + ws.dt * inner(gforce.comps)
+    ref = spla.spsolve(system.tocsc(), rhs)
+    got = inner(comps)
+    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(got).max())
+
+
+def test_predictor_that_does_not_contract_raises(params, monkeypatch):
+    # at an advective CFL near 50 each pass grows the increment by a
+    # bounded factor, so the iterates stay finite for all PREDICT_MAX_ITERS
+    # passes; the contraction stop needs rho < 1 and never ends them early
+    ws, g = _workspace(params, cells=(12, 10), dt=0.2)
+    v = stream_field_2d(g, np.random.default_rng(3), amplitude=20.0)
+    passes = []
+    advect = ops.mac_advection
+    monkeypatch.setattr(ops, "mac_advection", lambda *a: passes.append(1) or advect(*a))
+    with pytest.raises(StabilityError, match="failed to contract") as exc:
+        predict_velocity(ws, v, VectorField.zeros(g))
+    assert len(passes) == flow.PREDICT_MAX_ITERS
+    assert 1.0 < exc.value.residual < np.inf
+
+
 @pytest.mark.parametrize(
     "extents, cells",
     [

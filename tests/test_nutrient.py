@@ -6,8 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from conftest import skew_convection_check, stream_field_2d
+from conftest import potential_field_3d, skew_convection_check, stream_field_2d
 
+from biofilmflow import nutrient
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, nutrient_diffusivity
 from biofilmflow.errors import ConfigError, StabilityError
@@ -260,3 +261,50 @@ def test_iterative_solve_matches_direct_factorization(params):
     rhs = w.values - dt * ops.upwind_flux_divergence(w.values, v.comps, g.h)
     ref = spla.spsolve(system.tocsc(), rhs.ravel()).reshape(g.cells)
     assert np.abs(out.values - np.clip(ref, 0.0, 1.0)).max() < 1e-11
+
+
+@pytest.mark.parametrize("cells", [(12, 10), (6, 5, 4)], ids=["2d", "3d"])
+def test_cg_stop_bounds_the_error_in_the_sup_norm(params, monkeypatch, cells):
+    # the system has nonpositive off-diagonals and row sums 1 + dt c >= 1,
+    # so its inverse has sup-norm at most 1 and CG's stop on the residual's
+    # sup-norm bounds the error of the pre-clamp solution: within CG_TOL
+    # of a direct solve, with biomass-free cells where the row sum is 1
+    g = Grid((1.0,) * len(cells), cells)
+    ws = make_nutrient_workspace(g, params)
+    rng = np.random.default_rng(len(cells))
+    w = ScalarField(g, rng.uniform(0.2, 0.8, g.cells))
+    u_vals = rng.uniform(0.0, params.u_star, g.cells)
+    u_vals[: cells[0] // 2] = 0.0
+    u = ScalarField(g, u_vals)
+    field = stream_field_2d if len(cells) == 2 else potential_field_3d
+    v = field(g, rng, amplitude=0.5)
+    dt = 0.05
+    assert convection_cfl(v, dt, g.h) < 1.0
+
+    solves = []
+    solve = nutrient._solve_spd
+
+    def recording_solve(apply_op, rhs, x0):
+        out = solve(apply_op, rhs, x0)
+        solves.append((apply_op, rhs, out[0]))
+        return out
+
+    monkeypatch.setattr(nutrient, "_solve_spd", recording_solve)
+    step_nutrient(ws, w, u, v, dt)
+    (apply_op, rhs, got), = solves
+
+    n = rhs.size
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cols.append(apply_op(e.reshape(g.cells)).ravel())
+    system = np.array(cols).T
+    assert np.abs(system - system.T).max() <= 1e-12 * np.abs(system).max()
+    assert (system - np.diag(np.diag(system)) <= 0.0).all()
+    row_sums = apply_op(np.ones(g.cells))
+    assert row_sums.min() == 1.0
+    assert np.abs(np.linalg.inv(system)).sum(axis=1).max() <= 1.0 + 1e-12
+
+    ref = spla.spsolve(sp.csc_matrix(system), rhs.ravel()).reshape(g.cells)
+    assert np.abs(got - ref).max() <= nutrient.CG_TOL
