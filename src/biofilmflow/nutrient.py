@@ -13,14 +13,16 @@ whose coefficient is nonnegative, so the system matrix
 is a symmetric M-matrix and the step inherits a discrete maximum
 principle up to the explicit convection CFL margin; a step with
 dt max|v|/h > 1 raises StabilityError instead. The system is solved
-matrix-free by conjugate gradients, and the solution is clamped to
-[0, 1] with the clamped mass reported. No-flux boundaries all around.
+matrix-free by plain conjugate gradients (ops.cg with a unit diagonal),
+and the solution is clamped to [0, 1] with the clamped mass reported.
+No-flux boundaries all around.
 
 The matrix's off-diagonals are nonpositive and its row sums are
 1 + dt c >= 1, so it is strictly diagonally dominant by at least 1 in
 every row and its inverse has sup-norm at most 1. CG therefore stops on
 the sup-norm of its residual, CG_TOL, which bounds the error of the
-pre-clamp solution in the same norm.
+pre-clamp solution in the same norm. A solve that has not met it after
+one iteration per cell raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .grid import ScalarField
 from .mollify import mollifier, mollify_array
 
 # conjugate gradients: sup-norm residual bound (and so error bound, see
-# the module docstring), iteration cap
+# the module docstring)
 CG_TOL = 1e-10
-CG_MAX_ITERS = 500
 
 
 @dataclass
@@ -92,27 +93,20 @@ def _solve_spd(apply_op, rhs, x0):
     is symmetric positive definite with condition numbers near 1 at the
     stable time steps, so a handful of matrix-free sweeps beats refactoring.
     Stops once the residual's sup-norm is at most CG_TOL; the inverse's
-    sup-norm is at most 1, so that bounds the error too. Returns
-    (solution, iterations).
+    sup-norm is at most 1, so that bounds the error too. Raises
+    NonConvergenceError if ops.cg ends short of that, after at most one
+    iteration per cell. Returns (solution, iterations).
     """
-    x = x0.copy()
-    r = rhs - apply_op(x)
-    p = r.copy()
-    rs = float((r * r).sum())
-    for it in range(CG_MAX_ITERS):
-        if float(np.abs(r).max(initial=0.0)) <= CG_TOL:
-            return x, it
-        ap = apply_op(p)
-        alpha = rs / float((p * ap).sum())
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float((r * r).sum())
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NonConvergenceError(
-        f"nutrient linear solve stalled after {CG_MAX_ITERS} iterations",
-        residual=float(np.abs(r).max()),
-    )
+    def done(r):
+        return float(np.abs(r).max(initial=0.0)) <= CG_TOL
+
+    x, r, its = ops.cg(apply_op, rhs, x0.copy(), 1.0, done)
+    if not done(r):
+        raise NonConvergenceError(
+            f"nutrient linear solve stalled after {its} iterations",
+            residual=float(np.abs(r).max()),
+        )
+    return x, its
 
 
 def step_nutrient(ws, w, u, v, dt):

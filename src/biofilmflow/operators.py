@@ -1,4 +1,6 @@
-"""Grid calculus on the staggered box: differences, transforms, stencils.
+"""Grid calculus on the staggered box: differences, transforms, stencils
+and the one conjugate-gradient loop, shared by the nutrient solve and the
+biomass Newton directions.
 
 Everything here works for 2D and 3D alike by slicing along a runtime
 axis. The orthonormal DCT-II, DST-I and DST-II are dense matrices built
@@ -329,6 +331,41 @@ def scalar_laplacian_gamma0(grid):
         upper.insert(0, (unit, -inv))
     diag.setflags(write=False)
     return Stencil(grid.cells, lower + [((0,) * nd, diag)] + upper)
+
+
+# ---------------------------------------------------------------------------
+# Conjugate gradients
+# ---------------------------------------------------------------------------
+
+def cg(apply, rhs, x, diag, done):
+    """Jacobi-preconditioned conjugate gradients for apply(x) = rhs.
+
+    apply is a symmetric operator on cell arrays and diag its diagonal, a
+    cell array or 1.0 for plain CG. x is the start and is updated in
+    place. Stops when done(r) holds for the recurrence residual r, after
+    rhs.size iterations, or on a curvature d.Md or product r.z that is
+    not positive: on an indefinite system CG then ends early, without
+    dividing by it. The dots are np.vdot. Returns (x, r, iterations).
+    """
+    r = rhs - apply(x)
+    z = r / diag
+    d = z
+    rz = float(np.vdot(r, z))
+    its = 0
+    while its < rhs.size and not done(r):
+        md = apply(d)
+        dmd = float(np.vdot(d, md))
+        if not (dmd > 0.0 and rz > 0.0):
+            break
+        alpha = rz / dmd
+        x += alpha * d
+        r -= alpha * md
+        z = r / diag
+        rz_new = float(np.vdot(r, z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+        its += 1
+    return x, r, its
 
 
 def interior_faces(comp, axis):

@@ -4,7 +4,8 @@ The names perfbench/tracing.py traces still exist: the tracer skips a
 layer whose function is missing and reads report fields with a default
 of 0, so a rename in the package alone would leave its metric reading 0
 on working code. The values it unpacks keep their shape: the
-predictor's pass count is its second return value. And one episode of
+predictor's pass count is its second return value, and so is the
+nutrient solve's CG iteration count. And one episode of
 each workload, run by run.py's own driver, succeeds and writes a series
 that run.py's own check accepts against the stored reference. These
 tests execute the perfbench sources from their text with bytecode off,
@@ -24,6 +25,8 @@ import pytest
 from conftest import stream_field_2d
 
 import biofilmflow
+from biofilmflow import nutrient
+from biofilmflow import operators as ops
 from biofilmflow.biomass import BiomassStepReport
 from biofilmflow.constitutive import ModelParams
 from biofilmflow.diagnostics import StepDiagnostics
@@ -78,6 +81,26 @@ def test_predictor_returns_components_passes_and_viscous_form():
     assert [c.shape for c in comps] == [g.face_shape(ax) for ax in range(g.dim)]
     assert isinstance(passes, int) and passes > 1
     assert isinstance(viscous, float) and viscous > 0.0
+
+
+def test_nutrient_solve_returns_solution_and_cg_iterations():
+    # the nutrient CG counter adds up the second value; the solve applies
+    # its operator once for the start residual and once per iteration
+    rng = np.random.default_rng(2)
+    rhs = rng.uniform(0.0, 1.0, (9, 7))
+    calls = []
+
+    def apply_op(x):
+        calls.append(1)
+        return x + 0.5 * ops.scatter_faces([-np.diff(x, axis=ax) for ax in range(x.ndim)])
+
+    out = nutrient._solve_spd(apply_op, rhs, rhs)
+    assert isinstance(out, tuple) and len(out) == 2
+    x, its = out
+    assert isinstance(x, np.ndarray) and x.shape == rhs.shape
+    assert isinstance(its, int) and its > 1
+    assert its == len(calls) - 1
+    assert np.abs(apply_op(x) - rhs).max() <= 2.0 * nutrient.CG_TOL
 
 
 @pytest.fixture(scope="module")

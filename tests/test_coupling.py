@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import recorded_run, spy_calls, stream_field_2d
+from conftest import biomass_jacobian, recorded_run, spy_calls, stream_field_2d
 
+from biofilmflow import biomass
 from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
 from biofilmflow.biomass import NEWTON_TOL, BiomassStepConfig, step_biomass
@@ -285,13 +286,16 @@ def test_run_records_trajectory(tmp_path):
     assert any(d.picard_iters > 1 for d in diags)
 
 
-def _block_stepper(params, coupling):
-    g = build_grid(2, (1.0, 1.0), (64, 64), ("left",))
+def _block_stepper(params, coupling, n=64):
+    """The saturated block on n^2 cells: a u* patch over the middle quarter
+    of each axis, at rest in a swirl of amplitude 600."""
+    g = build_grid(2, (1.0, 1.0), (n, n), ("left",))
     stepper = make_stepper(
         g, params, coupling, bio_cfg=BiomassStepConfig(dt=coupling.dt, newton_max=120)
     )
     u = ScalarField.zeros(g)
-    u.values[24:40, 24:40] = params.u_star
+    patch = slice(3 * n // 8, 5 * n // 8)
+    u.values[patch, patch] = params.u_star
     state = SimState(
         t=0.0,
         u=u,
@@ -459,6 +463,48 @@ def test_picard_rounds_hand_pre_clamp_iterate_forward(saturated_steps):
             clamped_away |= not np.array_equal(rep_prev.iterate, u_prev.values)
     # the clamp acts here, so the pre-clamp iterate is not the clamped field
     assert clamped_away
+
+
+def test_newton_directions_meet_forcing_term_on_saturated_block(monkeypatch, params):
+    # at the patch's edge the slopes reach thousands while the reaction
+    # falls to U'/dt: every direction of two saturated steps must still
+    # leave a true linear residual, against the assembled Jacobian in tau,
+    # within its forcing term. Started at the reaction-only point alone,
+    # one of them was 11 times over, whatever the forcing
+    slopes, growths, directions = [], [], []
+    slope_of = biomass.biomass_diffusion_reg_deriv
+    growth_of = biomass.consumption_rate
+    direction_of = biomass._newton_direction
+
+    def recording_slope(x, p):
+        slopes.append(x.copy())
+        return slope_of(x, p)
+
+    def recording_growth(w, p):
+        growths.append(growth_of(w, p))
+        return growths[-1]
+
+    def recording_direction(ws, g, s, c, eta):
+        delta, its = direction_of(ws, g, s, c, eta)
+        directions.append((ws, slopes[-1], growths[-1], g.copy(), eta, delta))
+        return delta, its
+
+    monkeypatch.setattr(biomass, "biomass_diffusion_reg_deriv", recording_slope)
+    monkeypatch.setattr(biomass, "consumption_rate", recording_growth)
+    monkeypatch.setattr(biomass, "_newton_direction", recording_direction)
+    dt = 1e-3
+    stepper, state, force = _block_stepper(params, CouplingConfig(dt=dt, t_end=2 * dt), n=32)
+    for _ in range(2):
+        state, _ = picard_step(stepper, state, force)
+    assert len(directions) == len(slopes) > 20
+    over = []
+    for ws, x, growth, res, eta, delta in directions:
+        jac = biomass_jacobian(x, growth, ws, dt)
+        du = biomass._du_dtau(biomass._tau_of_u(x, params), params)
+        step = delta if du is None else du * delta
+        linear = np.abs(jac @ step.ravel() + res.ravel()).max()
+        over.append(linear / (eta * np.abs(res).max()))
+    assert max(over) <= 1.0, over
 
 
 def test_loose_round_is_never_accepted(params):

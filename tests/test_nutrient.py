@@ -11,7 +11,7 @@ from conftest import potential_field_3d, skew_convection_check, stream_field_2d
 from biofilmflow import nutrient
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, nutrient_diffusivity
-from biofilmflow.errors import ConfigError, StabilityError
+from biofilmflow.errors import ConfigError, NonConvergenceError, StabilityError
 from biofilmflow.grid import Grid, ScalarField, VectorField, build_grid
 from biofilmflow.mollify import mollify_array
 from biofilmflow.nutrient import (
@@ -308,3 +308,19 @@ def test_cg_stop_bounds_the_error_in_the_sup_norm(params, monkeypatch, cells):
 
     ref = spla.spsolve(sp.csc_matrix(system), rhs.ravel()).reshape(g.cells)
     assert np.abs(got - ref).max() <= nutrient.CG_TOL
+
+
+def test_solve_that_misses_its_stop_raises_after_one_iteration_per_cell(params, monkeypatch):
+    # with CG_TOL at 0 no residual meets the stop: CG runs to its cap of
+    # one iteration per cell and the step raises, naming that count
+    g = Grid((1.0, 1.0), (6, 5))
+    ws = make_nutrient_workspace(g, params)
+    rng = np.random.default_rng(4)
+    w = ScalarField(g, rng.uniform(0.2, 0.8, g.cells))
+    u = ScalarField(g, rng.uniform(0.0, params.u_star, g.cells))
+    v = stream_field_2d(g, rng, amplitude=0.5)
+    monkeypatch.setattr(nutrient, "CG_TOL", 0.0)
+    with pytest.raises(NonConvergenceError, match="nutrient linear solve stalled") as exc:
+        step_nutrient(ws, w, u, v, 0.05)
+    assert str(exc.value) == f"nutrient linear solve stalled after {w.values.size} iterations"
+    assert 0.0 < exc.value.residual < 1e-12

@@ -1,6 +1,7 @@
 """Checks of the discrete operator kernels against dense references."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -350,3 +351,78 @@ def test_poisson_neumann_matches_scipy_cosine_transform(cells):
     ref -= ref.mean()
     got = ops.poisson_neumann(rhs, h)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _nutrient_style_system(cells, rng, dt=0.05):
+    """Dense I + dt K + dt diag(c): K a no-flux diffusion with random face
+    weights, c >= 0. Nonpositive off-diagonals and row sums >= 1, so the
+    inverse has sup-norm at most 1; plain CG (diagonal 1.0)."""
+    n = math.prod(cells)
+    idx = np.arange(n).reshape(cells)
+    a = np.eye(n) + np.diag(dt * rng.uniform(0.0, 2.0, n))
+    for ax in range(len(cells)):
+        lo = idx[ops.axslice(len(cells), ax, slice(None, -1))].ravel()
+        hi = idx[ops.axslice(len(cells), ax, slice(1, None))].ravel()
+        d = dt * rng.uniform(0.5, 2.0, lo.size) * cells[ax] ** 2
+        a[lo, lo] += d
+        a[hi, hi] += d
+        a[lo, hi] -= d
+        a[hi, lo] -= d
+    return a, 1.0
+
+
+def _scaled_spd_system(cells, rng):
+    """Dense D^1/2 B D^1/2 with B = I + a small symmetric part and D over six
+    decades: Jacobi scaling (its diagonal as a cell array) undoes D."""
+    n = math.prod(cells)
+    q = rng.standard_normal((n, n))
+    b = np.eye(n) + 0.4 * (q + q.T) / np.linalg.norm(q + q.T, 2)
+    root = np.sqrt(np.geomspace(1.0, 1e6, n))[rng.permutation(n)]
+    a = root[:, None] * b * root[None, :]
+    return a, np.diag(a).reshape(cells).copy()
+
+
+@pytest.mark.parametrize(
+    "build, cells",
+    [(_nutrient_style_system, (7, 6)), (_scaled_spd_system, (5, 4, 3))],
+    ids=["m-matrix-plain", "jacobi-scaled"],
+)
+def test_cg_meets_its_stop_against_a_dense_solve(build, cells):
+    # the kernel updates the start in place, returns a residual that meets
+    # its stop within one iteration per cell, and that residual bounds the
+    # error against a dense solve through |A^-1|
+    rng = np.random.default_rng(len(cells))
+    a, diag = build(cells, rng)
+    rhs = rng.standard_normal(cells) * np.sqrt(np.diag(a)).reshape(cells)
+    tol = 1e-10 * np.abs(rhs).max()
+
+    def done(r):
+        return float(np.abs(r).max()) <= tol
+
+    x = np.zeros(cells)
+    got, r, its = ops.cg(lambda y: (a @ y.ravel()).reshape(cells), rhs, x, diag, done)
+    assert got is x
+    assert done(r)
+    assert 0 < its <= rhs.size
+    ref = np.linalg.solve(a, rhs.ravel()).reshape(cells)
+    inv_norm = np.abs(np.linalg.inv(a)).sum(axis=1).max()
+    if np.ndim(diag) == 0:
+        assert inv_norm <= 1.0 + 1e-12
+    assert np.abs(x - ref).max() <= 1.01 * inv_norm * tol
+
+
+def test_cg_jacobi_diagonal_preconditions():
+    # on the badly scaled system the Jacobi diagonal is what makes CG fast:
+    # plain CG on it needs several times the iterations
+    cells = (5, 4, 3)
+    rng = np.random.default_rng(3)
+    a, diag = _scaled_spd_system(cells, rng)
+    rhs = rng.standard_normal(cells)
+
+    def iterations(d):
+        return ops.cg(
+            lambda y: (a @ y.ravel()).reshape(cells), rhs, np.zeros(cells), d,
+            lambda r: float(np.abs(r).max()) <= 1e-8,
+        )[2]
+
+    assert 3 * iterations(diag) < iterations(1.0)
