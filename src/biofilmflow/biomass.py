@@ -14,12 +14,12 @@ reaction terms exact but freezes the convection term (its contribution
 is O(dt |v|/h) and chasing it buys nothing at the step sizes of
 interest). Each Newton system is solved matrix-free on its symmetrized
 form by ops.cg, the package's one Jacobi-preconditioned CG loop, capped
-at one iteration per cell, to a forcing term on the true linear
-residual (see _newton_direction). The
-forcing term is ETA, but never tighter than a quarter of NEWTON_TOL
-over the current residual: near convergence a direction is solved only
-as far as the Newton stop can see (the "don't oversolve" safeguard of
-Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
+at one iteration per cell, to a forcing term on the true linear residual
+(see _newton_direction). The forcing term is ETA, but never tighter than
+a quarter of NEWTON_TOL over the current residual: near convergence a
+direction is solved only as far as the Newton stop can see (the "don't
+oversolve" safeguard of Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996).
 
 beta has slope 0 at u = 0+, 1/lambda below zero and a slope that grows
 towards u_star up to its cap value, and Newton on u keeps crossing these
