@@ -205,24 +205,12 @@ def biomass_diffusion_reg_deriv(r, p):
 def _simpson_panels(f0, f1, f2, h1, h2, out):
     """Three-point Simpson integral over the first interval of node
     triples with values (f0, f1, f2) and unequal spacings (h1, h2), into
-    out: h1/6 ((3 - q) f0 + (3 + qr + q) f1 - qr f2) with q = h1/(h1 + h2)
-    and qr = q h1/h2, every operation as SciPy orders it. The steps run
-    in place because each temporary is half the size of the table.
+    out, as SciPy evaluates it: h1/6 ((3 - q) f0 + (3 + qr + q) f1 - qr f2)
+    with q = h1/(h1 + h2) and qr = q h1/h2.
     """
-    q = h1 + h2
-    np.divide(h1, q, out=q)
-    qr = h1 / h2
-    qr *= q
-    mid = 3 + qr  # (3 + qr + q) f1
-    mid += q
-    mid *= f1
-    np.subtract(3, q, out=q)  # (3 - q) f0 + mid - qr f2
-    q *= f0
-    q += mid
-    qr *= f2
-    q -= qr
-    np.divide(h1, 6, out=out)
-    out *= q
+    q = h1 / (h1 + h2)
+    qr = h1 / h2 * q
+    out[...] = h1 / 6 * ((3 - q) * f0 + (3 + qr + q) * f1 - qr * f2)
 
 
 def _simpson_intervals(f, x, out, close):

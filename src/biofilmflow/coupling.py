@@ -10,7 +10,9 @@ move, so the accepted state is a fixed point of the composed map.
 
 Besides the coupling fields, rounds differ only in where their inner
 solves start and in the first round's projection tolerance. Each round's
-projection starts from the multipliers of the round before it, and
+projection starts from the velocity, pressure and multipliers of the
+round before it (so a round after an inactive one does no Poisson
+solve), and
 each round's biomass Newton solve from the previous round's iterate as
 it was before the clamp to [0, u*]. The first round's residual is the
 whole change over the step, so where the obstacle binds that round is
@@ -170,11 +172,11 @@ def picard_step(stepper, state, g):
     # biomass iterate, so every coupling round projects the same v*
     v_star, _, viscous = predict_velocity(stepper.flow_ws, state.v, g)
     uk = state.u
-    # each round's projection starts from the previous round's
-    # multipliers and its Newton solve from the previous round's
-    # pre-clamp iterate; the first starts from zero multipliers and the
-    # old biomass, so the step depends on its start state only
-    lam = None
+    # each round's projection starts from the previous round's velocity,
+    # pressure and multipliers and its Newton solve from the previous
+    # round's pre-clamp iterate; the first starts cold and from the old
+    # biomass, so the step depends on its start state only
+    start = None
     x0 = None
     residuals = []
     projection_iters = []
@@ -185,10 +187,10 @@ def picard_step(stepper, state, g):
             stepper.flow_ws,
             v_star,
             uk,
-            lam=lam,
+            start=start,
             tol=FIRST_ROUND_TOL if k == 0 else None,
         )
-        lam = flow_rep.lam
+        start = (v_new, pressure, flow_rep.lam)
         w_new, nut_rep = step_nutrient(stepper.nut_ws, state.w, uk, v_new, cc.dt)
         u_new, bio_rep = step_biomass(
             stepper.bio_ws,
@@ -291,16 +293,21 @@ def run(cfg):
             diags.append(diag)
             obstacle = workspace_obstacle(stepper.flow_ws, state.u)
             if writer is not None:
-                writer.write_row(diag)
-                if cfg.output.snapshot_every and (n + 1) % cfg.output.snapshot_every == 0:
-                    write_snapshot(
-                        state,
-                        grid,
-                        out_dir,
-                        n + 1,
-                        cfg.output.snapshot_fields,
-                        obstacle=obstacle,
-                    )
+                try:
+                    writer.write_row(diag)
+                    if cfg.output.snapshot_every and (n + 1) % cfg.output.snapshot_every == 0:
+                        write_snapshot(
+                            state,
+                            grid,
+                            out_dir,
+                            n + 1,
+                            cfg.output.snapshot_fields,
+                            obstacle=obstacle,
+                        )
+                except OSError as exc:
+                    raise ConfigError(
+                        f"cannot write output of step {n + 1} to out_dir {out_dir!r}: {exc}"
+                    ) from None
             rep = invariant_report(state, params, obstacle=obstacle, feas_tol=1e-6)
             if not rep.ok:
                 names = ", ".join(

@@ -25,13 +25,16 @@ iteration is one exact affine projection (a cosine transform Poisson
 solve), one cellwise soft-threshold and a small least-squares fit over
 the last residuals, so it converges to the true metric projection. The
 multipliers are one (dim, *cells) array, a d-vector per cell. A
-projection may start from given multipliers and returns its final ones;
-the coupling loop hands each round's multipliers to the next round of
-the same step and starts every step from zero, so a step depends on its
-start state only. The coupling loop may also ask for a looser stopping
-tolerance than FEAS_TOL/STEP_TOL (its first round does); the report
-then says whether the result met the tight ones anyway, which it does
-at once where the obstacle is inactive. The divergence bound has a
+projection may start from the (velocity, pressure, multipliers) an
+earlier projection of the same v returned, or cold, from
+``pressure_project`` and zero multipliers; the coupling loop hands each
+round's result to the next round of the same step and starts every step
+cold, so a step depends on its start state only. Where the start is
+already the dual fixed point, as after an inactive round, the
+projection returns it with no Poisson solve. The coupling loop may also
+ask for a looser stopping tolerance than FEAS_TOL/STEP_TOL (its first
+round does); the report then says whether the result met the tight
+ones anyway, which it does at once where the obstacle is inactive. The divergence bound has a
 floor at the rounding an exact affine projection leaves. The potential
 of the final affine projection, divided by dt, serves as the pressure.
 """
@@ -75,11 +78,13 @@ class FlowStepReport:
     dual method; it stays because perfbench/tracing.py reads the field by
     name, so the two are renamed together. A projection started from the
     previous coupling round's multipliers counts only the iterations it
-    needed from there: one where the obstacle is inactive, up to a few
-    hundred where it binds on a dense block. lam holds the final
-    multipliers as one (dim, *cells) array. tight tells whether the
-    projection met FEAS_TOL (for the divergence, or its rounding floor)
-    and STEP_TOL, whatever tolerance it was asked to stop at."""
+    needed from there: one where the obstacle is inactive, with no
+    Poisson solve, up to a few hundred where it binds on a dense block.
+    lam holds the final multipliers as one (dim, *cells) array; with the
+    returned velocity and pressure they are the start of the next
+    round's projection. tight tells whether the projection met FEAS_TOL
+    (for the divergence, or its rounding floor) and STEP_TOL, whatever
+    tolerance it was asked to stop at."""
 
     dykstra_sweeps: int
     max_excess: float
@@ -231,7 +236,7 @@ def _shrink_cells(z, obs):
     return z * keep
 
 
-def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
+def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, start=None):
     """Metric projection onto K(r), r the speed bound per cell, by an
     Anderson-accelerated dual proximal gradient.
 
@@ -251,18 +256,19 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     drops the history, so the next step is a plain G(lam). The history
     lives within one call and each iteration costs one solve.
 
-    lam, a (dim, *cells) array, is the starting dual point; with
-    None it is zero and the first affine projection is of v itself.
-    Multipliers returned by a projection of the same v onto a nearby
-    obstacle are a good start. If G fixes the start bit for bit, x of
-    the start is returned after one iteration. Returns (VectorField,
-    pressure ScalarField, FlowStepReport); the report counts the
-    iterations, holds the final multipliers and says whether the result
-    met FEAS_TOL and STEP_TOL. Termination requires the
-    speed excess and the divergence to sit under feas_tol *and* the last
-    primal increment to be below step_tol; plain feasibility is reached
-    early by iterates that are still far from the projection, so it
-    alone is not a safe stop. The divergence and the increment are
+    start, a (velocity, pressure, multipliers) triple that a projection
+    of the same v returned, is the starting dual point with its primal
+    point and pressure; None is (*pressure_project(v, dt), zeros), the
+    affine projection of v itself. The triple of a projection onto a
+    nearby obstacle is a good start. If G fixes the start bit for bit,
+    the start's velocity and pressure are returned after one iteration
+    with no Poisson solve. Returns (VectorField, pressure ScalarField,
+    FlowStepReport); the report counts the iterations, holds the final
+    multipliers and says whether the result met FEAS_TOL and STEP_TOL.
+    Termination requires the speed excess and the divergence to sit
+    under feas_tol *and* the last primal increment to be below
+    step_tol; plain feasibility is reached early by iterates that are
+    still far from the projection, so it alone is not a safe stop. The divergence and the increment are
     measured only once the excess is under feas_tol. The divergence bound
     is at least DIV_ROUNDING eps max|x| / min(h), so fast fields stop too.
     The pressure is the potential of the final affine projection over dt.
@@ -271,9 +277,12 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
     """
     grid = v.grid
     h = grid.h
-    if lam is None:
-        lam = np.zeros((grid.dim, *r.shape))
-    x, phi = _project_affine(v.comps, h, lam)
+    if start is None:
+        # the multipliers are only read, so the zeros are a read-only view:
+        # a (dim, *cells) array of them costs a 24^3 run about 0.8 MB of RSS
+        start = (*pressure_project(v, dt), np.broadcast_to(0.0, (grid.dim, *r.shape)))
+    x, pressure, lam = start
+    x = list(x.comps)
     m = ops.center_average(x)
     f_prev = g_prev = hist = None
     best, cols = np.inf, 0
@@ -333,7 +342,9 @@ def project_K(v, r, dt, feas_tol=FEAS_TOL, step_tol=STEP_TOL, lam=None):
                     lam=lam_new,
                     tight=excess <= FEAS_TOL and dv <= max(FEAS_TOL, floor) and inc <= STEP_TOL,
                 )
-                return VectorField(grid, tuple(x_new)), ScalarField(grid, phi / dt), report
+                if x_new is not x:  # else G fixed the start: its pressure stands
+                    pressure = ScalarField(grid, phi / dt)
+                return VectorField(grid, tuple(x_new)), pressure, report
         lam, x_prev, x, m = lam_new, x, x_new, m_new
     dv = float(np.abs(ops.divergence(x, h)).max())
     inc = max(float(np.abs(a - b).max()) for a, b in zip(x, x_prev))
@@ -424,24 +435,27 @@ def predict_velocity(ws, v, g):
     return comps, iters, viscous
 
 
-def step_flow(ws, v_star, u, lam=None, tol=None):
+def step_flow(ws, v_star, u, start=None, tol=None):
     """Project the predictor v_star onto K(r(u)), the biomass iterate's
-    speed obstacle, starting the dual iteration from lam (None: zero).
+    speed obstacle, starting the dual iteration from start, a
+    (velocity, pressure, multipliers) triple an earlier projection of
+    v_star returned (None: the affine projection of v_star, zero
+    multipliers).
 
     tol, when given, replaces FEAS_TOL and STEP_TOL as the projection's
     excess, divergence and increment bound; the report's tight flag
     still compares the result against FEAS_TOL and STEP_TOL.
-    Returns (VectorField, pressure ScalarField, FlowStepReport); the
-    report's lam, one (dim, *cells) array, holds the final multipliers,
-    to start the next coupling round of the same step from. The pressure
-    collects the affine multipliers of the projection scaled by 1/dt,
-    mean-zero by construction.
+    Returns (VectorField, pressure ScalarField, FlowStepReport); these
+    two fields and the report's lam, one (dim, *cells) array of the
+    final multipliers, start the next coupling round of the same step.
+    The pressure collects the affine multipliers of the projection
+    scaled by 1/dt, mean-zero by construction.
     """
     r = workspace_obstacle(ws, u)
     feas_tol, step_tol = (FEAS_TOL, STEP_TOL) if tol is None else (tol, tol)
     return project_K(
         VectorField(ws.grid, tuple(v_star)), r, ws.dt,
-        feas_tol=feas_tol, step_tol=step_tol, lam=lam,
+        feas_tol=feas_tol, step_tol=step_tol, start=start,
     )
 
 

@@ -233,6 +233,20 @@ def test_invariant_violation_exits_four(tmp_path, capsys, monkeypatch):
     assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
 
 
+def test_failed_output_write_mid_run_exits_two(tmp_path):
+    # a directory takes the path of step 1's snapshot: the run stops with a
+    # config error naming that path, and the row written before it stays
+    snap = tmp_path / "out" / "u_000001.vtk"
+    snap.mkdir(parents=True)
+    cfg = _write_cfg(tmp_path, every="1\nsnapshot_fields = u")
+    res = _cli("--config", str(cfg), "--steps", "2")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: cannot write output of step 1")
+    assert str(snap) in res.stderr
+    assert "Traceback" not in res.stderr
+    assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
+
+
 def test_infeasible_initial_data_exits_two(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[initial]\nu = uniform value=2.0\n")

@@ -1,6 +1,7 @@
 """Tests for initial-data validation and the per-step coupling loop."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from biofilmflow import biomass
 from biofilmflow import coupling as coupling_mod
 from biofilmflow import operators as ops
 from biofilmflow.biomass import NEWTON_TOL, BiomassStepConfig, step_biomass
-from biofilmflow.config import initial_state, parse_config
+from biofilmflow.config import initial_state, load_config, parse_config
 from biofilmflow.constitutive import ModelParams
 from biofilmflow.coupling import (
     CouplingConfig,
@@ -309,11 +310,11 @@ def _block_stepper(params, coupling, n=64):
 
 def _spied_step(stepper, state, force):
     """One picard_step with spies on its inner solves; returns (new state,
-    StepDiagnostics, [(kwargs, FlowStepReport)] per flow call,
-    [(kwargs, (u, BiomassStepReport))] per biomass call)."""
+    StepDiagnostics, [(kwargs, (v, pressure, FlowStepReport))] per flow
+    call, [(kwargs, (u, BiomassStepReport))] per biomass call)."""
     with spy_calls(coupling_mod, "step_flow", "step_biomass") as log:
         state, diag = picard_step(stepper, state, force)
-    flows = [(kwargs, out[2]) for name, _, kwargs, out in log if name == "step_flow"]
+    flows = [(kwargs, out) for name, _, kwargs, out in log if name == "step_flow"]
     bios = [(kwargs, out) for name, _, kwargs, out in log if name == "step_biomass"]
     return state, diag, flows, bios
 
@@ -334,14 +335,14 @@ def saturated_steps():
 @pytest.fixture(scope="module")
 def saturated_block(saturated_steps):
     """The same run as (Newton iterations of every biomass call,
-    StepDiagnostics of every step, (lam passed in, FlowStepReport) of
+    StepDiagnostics of every step, (start passed in, FlowStepReport) of
     every flow call)."""
     iters = [out[1].newton_iters for *_, bios in saturated_steps for _, out in bios]
     diags = [diag for _, diag, _, _ in saturated_steps]
     flows = [
-        (kwargs.get("lam"), rep)
+        (kwargs.get("start"), rep)
         for _, _, step_flows, _ in saturated_steps
-        for kwargs, rep in step_flows
+        for kwargs, (*_, rep) in step_flows
     ]
     return iters, diags, flows
 
@@ -389,24 +390,61 @@ def test_saturated_block_projection_stays_short(saturated_block):
     assert max(rep.dykstra_sweeps for _, rep in flows) <= 150
 
 
-def test_picard_rounds_hand_multipliers_forward(saturated_block):
-    # the first round of a step starts the projection from zero, so the
-    # step depends on its start state only; each later round starts from
-    # the multipliers the round before it returned
-    _, diags, flows = saturated_block
-    assert any(d.picard_iters > 1 for d in diags)
-    rounds = iter(flows)
-    for d in diags:
+def test_picard_rounds_hand_multipliers_forward(saturated_steps):
+    # the first round of a step starts the projection cold, so the step
+    # depends on its start state only; each later round starts from the
+    # velocity, pressure and multipliers the round before it returned
+    assert any(d.picard_iters > 1 for _, d, _, _ in saturated_steps)
+    for _, d, step_flows, _ in saturated_steps:
+        assert len(step_flows) == d.picard_iters
         prev = None
-        for k in range(d.picard_iters):
-            lam, rep = next(rounds)
-            if k == 0:
-                assert lam is None
+        for kwargs, out in step_flows:
+            start = kwargs["start"]
+            if prev is None:
+                assert start is None
             else:
-                assert lam is prev.lam
-            prev = rep
-        assert prev.dykstra_sweeps == d.round_projection_iters[-1]
-    assert next(rounds, None) is None
+                assert len(start) == 3
+                assert start[0] is prev[0] and start[1] is prev[1]
+                assert start[2] is prev[2].lam
+            prev = out
+        assert prev[2].dykstra_sweeps == d.round_projection_iters[-1]
+
+
+def test_inactive_two_round_step_solves_poisson_once(params, monkeypatch):
+    # where the obstacle never binds, round 1's projection is the affine
+    # one and round 2 starts at its dual fixed point, so it returns round
+    # 1's velocity and pressure arrays without a Poisson solve; nothing
+    # after a round may then write into those arrays
+    g, u, w, v = _state_fields(params)
+    coupling = CouplingConfig(dt=1e-3, t_end=1e-3, picard_tol=1e3, picard_min_iters=2)
+    stepper = make_stepper(g, params, coupling)
+    gforce = stream_field_2d(g, np.random.default_rng(2), amplitude=2.0)
+    state = SimState(t=0.0, u=u, w=w, v=v, P=ScalarField.zeros(g))
+    calls, kept = [], []
+    solve, project = ops.poisson_neumann, coupling_mod.step_flow
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    def kept_flow(*args, **kwargs):
+        out = project(*args, **kwargs)
+        kept.append((out, [c.copy() for c in out[0].comps], out[1].values.copy()))
+        return out
+
+    monkeypatch.setattr(ops, "poisson_neumann", counted)
+    monkeypatch.setattr(coupling_mod, "step_flow", kept_flow)
+    new_state, diag = picard_step(stepper, state, gforce)
+    assert diag.picard_iters == 2
+    assert diag.round_projection_iters == [1, 1]
+    assert len(calls) == 1
+    (first, _, _), (second, _, _) = kept
+    assert all(a is b for a, b in zip(first[0].comps, second[0].comps))
+    assert first[1].values is second[1].values
+    assert new_state.v is second[0] and new_state.P is second[1]
+    for (v_out, p_out, _), comps, pressure in kept:
+        assert all(np.array_equal(a, b) for a, b in zip(v_out.comps, comps))
+        assert np.array_equal(p_out.values, pressure)
 
 
 def test_first_round_projection_is_loose(saturated_block, saturated_steps):
@@ -429,7 +467,7 @@ def test_first_round_projection_is_loose(saturated_block, saturated_steps):
         tols = [kwargs["tol"] for kwargs, _ in step_flows]
         assert tols == [coupling_mod.FIRST_ROUND_TOL] + [None] * later
         # the loose first projection stops short of the tight tolerances
-        assert [rep.tight for _, rep in step_flows] == [False] + [True] * later
+        assert [rep.tight for _, (*_, rep) in step_flows] == [False] + [True] * later
 
 
 def test_loose_round_stops_newton_loosely(saturated_steps):
@@ -439,13 +477,13 @@ def test_loose_round_stops_newton_loosely(saturated_steps):
     # checks that the Picard counts stay [3, 4, 4])
     for _, diag, step_flows, bios in saturated_steps:
         assert len(bios) == len(step_flows) == diag.picard_iters
-        for (_, flow_rep), (kwargs, (_, bio_rep)) in zip(step_flows, bios):
+        for (_, (*_, flow_rep)), (kwargs, (_, bio_rep)) in zip(step_flows, bios):
             if flow_rep.tight:
                 assert kwargs["tol"] is None
             else:
                 assert kwargs["tol"] == coupling_mod.FIRST_ROUND_TOL
                 assert bio_rep.residual <= coupling_mod.FIRST_ROUND_TOL
-        assert not step_flows[0][1].tight
+        assert not step_flows[0][1][2].tight
         # the loose solve stopped well short of the tight tolerance
         assert bios[0][1][1].residual > NEWTON_TOL
         assert bios[-1][1][1].residual <= NEWTON_TOL
@@ -465,12 +503,10 @@ def test_picard_rounds_hand_pre_clamp_iterate_forward(saturated_steps):
     assert clamped_away
 
 
-def test_newton_directions_meet_forcing_term_on_saturated_block(monkeypatch, params):
-    # at the patch's edge the slopes reach thousands while the reaction
-    # falls to U'/dt: every direction of two saturated steps must still
-    # leave a true linear residual, against the assembled Jacobian in tau,
-    # within its forcing term. Started at the reaction-only point alone,
-    # one of them was 11 times over, whatever the forcing
+def _forcing_ratios(monkeypatch, stepper, state, force, steps):
+    """|J delta + g| / (eta |g|) of every Newton direction of `steps`
+    picard_steps from state: the true linear residual, against the
+    assembled Jacobian in tau, over the forcing term it was asked for."""
     slopes, growths, directions = [], [], []
     slope_of = biomass.biomass_diffusion_reg_deriv
     growth_of = biomass.consumption_rate
@@ -492,18 +528,60 @@ def test_newton_directions_meet_forcing_term_on_saturated_block(monkeypatch, par
     monkeypatch.setattr(biomass, "biomass_diffusion_reg_deriv", recording_slope)
     monkeypatch.setattr(biomass, "consumption_rate", recording_growth)
     monkeypatch.setattr(biomass, "_newton_direction", recording_direction)
-    dt = 1e-3
-    stepper, state, force = _block_stepper(params, CouplingConfig(dt=dt, t_end=2 * dt), n=32)
-    for _ in range(2):
+    for _ in range(steps):
         state, _ = picard_step(stepper, state, force)
-    assert len(directions) == len(slopes) > 20
+    dt = stepper.coupling.dt
     over = []
     for ws, x, growth, res, eta, delta in directions:
         jac = biomass_jacobian(x, growth, ws, dt)
-        du = biomass._du_dtau(biomass._tau_of_u(x, params), params)
+        du = biomass._du_dtau(biomass._tau_of_u(x, ws.params), ws.params)
         step = delta if du is None else du * delta
         linear = np.abs(jac @ step.ravel() + res.ravel()).max()
         over.append(linear / (eta * np.abs(res).max()))
+    return over
+
+
+def _config_start(cfg):
+    state = initial_state(cfg)
+    force = state.pop("g")
+    return make_stepper(cfg.grid, cfg.params, cfg), SimState(t=0.0, **state), force
+
+
+def test_newton_directions_meet_forcing_term_on_saturated_block(monkeypatch, params):
+    # at the patch's edge the slopes reach thousands while the reaction
+    # falls to U'/dt: every direction of two saturated steps must still
+    # leave a true linear residual within its forcing term. Started at the
+    # reaction-only point alone, one of them was 11 times over, whatever
+    # the forcing
+    dt = 1e-3
+    stepper, state, force = _block_stepper(params, CouplingConfig(dt=dt, t_end=2 * dt), n=32)
+    over = _forcing_ratios(monkeypatch, stepper, state, force, 2)
+    assert len(over) > 20
+    assert max(over) <= 1.0, over
+
+
+def test_newton_directions_meet_forcing_term_on_demo(monkeypatch):
+    # the demo's own directions, over its first ten steps at 64^2: 43
+    # directions, the worst at 0.66 of the forcing term (a full run's
+    # worst is 0.904, over 379 directions)
+    demo = Path(coupling_mod.__file__).resolve().parents[2] / "configs" / "demo.ini"
+    over = _forcing_ratios(monkeypatch, *_config_start(load_config(demo)), 10)
+    assert len(over) > 20
+    assert max(over) <= 1.0, over
+
+
+def test_newton_directions_meet_forcing_term_on_3d_box(monkeypatch):
+    # the first step of a 24^3 blob in the demo's swirl: 5 directions, the
+    # worst at 0.56 of the forcing term (a three-step run's worst is 0.835,
+    # over 15 directions)
+    cfg = parse_config(
+        "[grid]\ndim = 3\nextents = 1.0 1.0 1.0\ncells = 24 24 24\ngamma0 = left\n\n"
+        "[time]\nt_end = 1e-3\ndt = 1e-3\n\n[initial]\n"
+        "u = gaussian-blob amplitude=0.6 width=0.15 cx=0.5 cy=0.5 cz=0.5\n"
+        "w = uniform value=0.9\ng = swirl amplitude=8.0 cx=0.4 cy=0.5\n"
+    )
+    over = _forcing_ratios(monkeypatch, *_config_start(cfg), 1)
+    assert len(over) >= 3
     assert max(over) <= 1.0, over
 
 
@@ -514,7 +592,7 @@ def test_loose_round_is_never_accepted(params):
     coupling = CouplingConfig(dt=1e-3, t_end=1e-3, picard_tol=1e3)
     _, diag, flows, bios = _spied_step(*_block_stepper(params, coupling))
     assert diag.picard_iters == 2
-    assert [rep.tight for _, rep in flows] == [False, True]
+    assert [rep.tight for _, (*_, rep) in flows] == [False, True]
     assert [kwargs["tol"] for kwargs, _ in bios] == [coupling_mod.FIRST_ROUND_TOL, None]
     assert diag.max_constraint_excess <= FEAS_TOL
     assert diag.max_div <= FEAS_TOL
@@ -530,4 +608,4 @@ def test_loose_round_is_never_accepted(params):
     assert flows[0][0]["tol"] == coupling_mod.FIRST_ROUND_TOL
     # and its Newton solve is the tight one
     assert bios[0][0]["tol"] is None
-    assert flows[0][1].tight and flows[0][1].dykstra_sweeps == 1
+    assert flows[0][1][2].tight and flows[0][1][2].dykstra_sweeps == 1

@@ -509,20 +509,21 @@ def test_predictor_rejects_nonfinite_viscous_form(params):
 
 def _check_against_dense_oracle(cells, first_seed, warm=False):
     # small instances against an independent dense constrained solver;
-    # warm starts each projection from the multipliers of the same field
+    # warm starts each projection from the result of the same field
     # projected onto a tighter, unrelated obstacle
     for seed in range(first_seed, first_seed + 3):
         rng = np.random.default_rng(seed)
         g = Grid((1.0,) * len(cells), cells)
         comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim))
         obs = rng.uniform(0.25, 0.6, g.cells)
-        lam = None
+        start = None
         if warm:
             other = rng.uniform(0.05, 0.2, g.cells)
-            lam = project_K(VectorField(g, comps), other, dt=1.0)[2].lam
+            x, p, rep = project_K(VectorField(g, comps), other, dt=1.0)
+            start = (x, p, rep.lam)
         out, _, rep = project_K(
             VectorField(g, comps), obs, dt=1.0,
-            feas_tol=1e-10, step_tol=1e-12, lam=lam,
+            feas_tol=1e-10, step_tol=1e-12, start=start,
         )
         ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
         assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
@@ -555,12 +556,13 @@ def test_project_K_restarts_from_its_own_multipliers(params):
     first, p_first, rep = project_K(v, obs, dt=1.0)
     assert rep.dykstra_sweeps > 2  # the obstacle binds
     assert isinstance(rep.lam, np.ndarray) and rep.lam.shape == (2, *g.cells)
-    again, p_again, rep_again = project_K(v, obs, dt=1.0, lam=rep.lam)
+    again, p_again, rep_again = project_K(v, obs, dt=1.0, start=(first, p_first, rep.lam))
     assert rep_again.dykstra_sweeps <= 2
     assert max(np.abs(a - b).max() for a, b in zip(first.comps, again.comps)) < 1e-9
     assert np.abs(p_first.values - p_again.values).max() < 1e-9
-    # zero multipliers are the cold start, bit for bit
-    zero, _, _ = project_K(v, obs, dt=1.0, lam=np.zeros((2, *g.cells)))
+    # the affine projection and zero multipliers are the cold start, bit for bit
+    cold = (*pressure_project(v, dt=1.0), np.zeros((2, *g.cells)))
+    zero, _, _ = project_K(v, obs, dt=1.0, start=cold)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first.comps, zero.comps))
 
 
