@@ -12,9 +12,9 @@ density, Monod saturation) is testable:
   to keep a global Lipschitz constant k1/k2;
 * biomass diffusion slope d1(r) = kappa r^alpha / (u_star - r)^gamma
   with alpha > 1 (degenerate at 0, singular at u_star), its primitive
-  (the diffusion energy density, read from a Simpson table integrated
-  block by block only as far as lookups reach, so a run whose density
-  stays low computes a fraction of it, with block-sized temporaries),
+  (the diffusion energy density, read from a table of 4096 Simpson
+  panels uniform in s = sqrt(ln(u_star/(u_star - r))), where the
+  integrand is smooth up to the cap; built once per parameter set),
   and a globally Lipschitz surrogate used by the implicit solver: d1
   clamped at u_star - lambda, extended linearly above with the clamped
   slope, and extended below zero with slope 1/lambda (a stiff penalty
@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-_ENERGY_TABLE_SIZE = 2**18 + 1
-_TABLE_BLOCK = 4096  # intervals per build step of the energy table; even
+_ENERGY_PANELS = 4096  # Simpson panels of the diffusion-energy table
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,12 @@ def validate_params(p):
         raise ConfigError("alpha (alpha_exp) must exceed 1 so d1(r)/r -> 0 at r=0")
     if not p.c_d <= p.c_d_prime:
         raise ConfigError(f"c_d must not exceed c_d_prime ({p.c_d} > {p.c_d_prime})")
-    if not p.beta_reg_lambda < p.u_star:
-        raise ConfigError("beta_reg_lambda must lie below u_star")
+    # below u_star's float resolution, lambda would put the cap on d1's pole
+    if not 0.0 < p.u_star - p.beta_reg_lambda < p.u_star:
+        raise ConfigError(
+            f"beta_reg_lambda must lie below u_star, and u_star - beta_reg_lambda "
+            f"must round below u_star, got {p.beta_reg_lambda}"
+        )
     return p
 
 
@@ -202,129 +205,54 @@ def biomass_diffusion_reg_deriv(r, p):
     return out if out.ndim else float(out)
 
 
-def _simpson_panels(f0, f1, f2, h1, h2, out):
-    """Three-point Simpson integral over the first interval of node
-    triples with values (f0, f1, f2) and unequal spacings (h1, h2), into
-    out, as SciPy evaluates it: h1/6 ((3 - q) f0 + (3 + qr + q) f1 - qr f2)
-    with q = h1/(h1 + h2) and qr = q h1/h2.
+def _energy_integrand(s, r, p):
+    """d1(r) dr/ds = 2 s kappa r^alpha (u_star - r)^(1 - gamma) at
+    s = sqrt(ln(u_star/(u_star - r))): like s^(2 alpha + 1) at 0, smooth at the cap."""
+    return 2.0 * s * p.kappa * r**p.alpha_exp * (p.u_star - r) ** (1.0 - p.gamma_exp)
+
+
+@lru_cache(maxsize=8)
+def _energy_table(p):
+    """(step, cum, f) of d1's primitive on [0, u_star - lambda], in s.
+
+    The _ENERGY_PANELS intervals of width ``step`` are uniform in
+    s = sqrt(ln(u_star/(u_star - r))), from 0 to the cap's s, and each is
+    integrated by one Simpson panel with its midpoint. ``cum[k]`` is the
+    integral up to node k = s/step and ``f[k]`` the integrand there. The
+    arrays are read-only: one table per parameter set serves every lookup.
     """
-    q = h1 / (h1 + h2)
-    qr = h1 / h2 * q
-    out[...] = h1 / 6 * ((3 - q) * f0 + (3 + qr + q) * f1 - qr * f2)
-
-
-def _simpson_intervals(f, x, out, close):
-    """Composite Simpson integral of f over each interval of the nodes x,
-    into out.
-
-    Even intervals take the rule of the triple they open, odd ones the
-    rule of the triple they close: the even triples serve both, read
-    forward and backward. With ``close`` the last triple also closes the
-    last interval, which a trailing odd interval needs. The arithmetic is
-    SciPy's cumulative Simpson rule for unequal intervals, term for term,
-    so the cumulative sum of out agrees with it bit for bit.
-    """
-    dx = np.diff(x)
-    f0, f1, f2 = f[:-2:2], f[1:-1:2], f[2::2]
-    h1, h2 = dx[:-1:2], dx[1::2]
-    _simpson_panels(f0, f1, f2, h1, h2, out[:-1:2])
-    _simpson_panels(f2, f1, f0, h2, h1, out[1::2])
-    if close:
-        _simpson_panels(f[-1:], f[-2:-1], f[-3:-2], dx[-1:], dx[-2:-1], out[-1:])
-
-
-class _EnergyTable:
-    """Cumulative integral of d1 on [0, u_star - lam], built on demand.
-
-    Tabulated on a grid uniform in y = ln(u_star/(u_star - r)); the
-    substitution absorbs the near-singularity so a Simpson rule on
-    2^18 panels is accurate even for lam as small as 1e-9 * u_star.
-    ``cum`` holds valid entries for the first ``size`` nodes only:
-    ``extend`` integrates further, one block of _TABLE_BLOCK intervals
-    at a time, each adding the last entry before it to its first panel
-    and then summing in place, which is the same sequential sum as one
-    pass over the whole table. The nodes are not stored; ``_table_nodes``
-    makes each block's from ``end``, the last node. With the default
-    parameters a lookup below u = 0.6 reaches a seventh of the table, and
-    every temporary is a block long (32 kB), not table long (2 MB). A
-    table grows in place, so it must not be extended from two threads at
-    once.
-    """
-
-    def __init__(self, u_star, kappa, alpha, gamma, lam):
-        self.coef = (u_star, kappa, alpha, gamma)
-        self.end = math.log(u_star / lam)
-        self.cum = np.zeros(_ENERGY_TABLE_SIZE)
-        self.size = 1
-
-    def extend(self, nodes):
-        """Make the first ``nodes`` entries of ``cum`` valid."""
-        u_star, kappa, alpha, gamma = self.coef
-        last = _ENERGY_TABLE_SIZE - 1
-        while self.size < nodes:
-            a = self.size - 1
-            b = min(a + _TABLE_BLOCK, last)
-            y = _table_nodes(np.arange(a, b + 1), last, self.end)
-            if b == last:
-                y[-1] = self.end
-            r = u_star * (-np.expm1(-y))
-            # d1(r) dr = d1(r) (u_star - r) dy
-            integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
-            sub = self.cum[a + 1 : b + 1]
-            _simpson_intervals(integrand, y, sub, close=b == last)
-            sub[0] += self.cum[a]
-            np.cumsum(sub, out=sub)
-            self.size = b + 1
-
-
-# one table per parameter set, shared by every lookup
-_energy_table = lru_cache(maxsize=8)(_EnergyTable)
-
-
-def _table_nodes(idx, n, end):
-    """Nodes idx < n of the uniform table of n intervals on [0, end],
-    with the bits of ``np.linspace(0.0, end, n + 1)[idx]``: idx times the
-    step, plus 0.0. Node n is end itself, which linspace sets apart."""
-    return idx * (end / n) + 0.0
-
-
-def _table_index(n, end, y):
-    """``clip(searchsorted(y_grid, y) - 1, 0, n - 1)`` for the uniform
-    table y_grid of n + 1 nodes on [0, end]: the node below y, found by
-    rounding y down onto the table and correcting the guess by at most
-    one node each way, so that y_grid[idx] < y <= y_grid[idx + 1]. fmax
-    and fmin send a NaN to a valid node before the cast."""
-    idx = np.fmin(np.fmax(y * (n / end), 0.0), n - 1).astype(np.intp)
-    idx -= y <= _table_nodes(idx, n, end)
-    # at idx + 1 = n the formula may miss end by a rounding, but either
-    # outcome of the test clips to n - 1
-    idx += y > _table_nodes(idx + 1, n, end)
-    return np.clip(idx, 0, n - 1)
+    step = math.sqrt(math.log(p.u_star / p.beta_reg_lambda)) / _ENERGY_PANELS
+    # nodes and midpoints; node k is bit for bit the lookup's k * step
+    s = np.arange(2 * _ENERGY_PANELS + 1) * (0.5 * step)
+    f = _energy_integrand(s, p.u_star * -np.expm1(-s * s), p)
+    cum = np.zeros(_ENERGY_PANELS + 1)
+    np.cumsum(step / 6.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]), out=cum[1:])
+    f = f[::2].copy()
+    cum.flags.writeable = f.flags.writeable = False
+    return step, cum, f
 
 
 def diffusion_energy(r, p):
     """Primitive of the (regularized) diffusion slope, zero at zero.
 
-    Quadratic extensions outside [0, u_star - lambda] integrate the
-    surrogate's linear branches, so the energy is finite and convex on
-    the whole line with its minimum at 0.
+    Up to the cap, the table's entry at the node below r plus one Simpson
+    panel on to r: within 1e-9 relative for r >= 0.05 u_star. Quadratic
+    extensions outside [0, u_star - lambda] integrate the surrogate's
+    linear branches, so the energy is finite and convex on the whole line
+    with its minimum at 0.
     """
     lam = p.beta_reg_lambda
-    table = _energy_table(p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, lam)
+    step, cum, f = _energy_table(p)
     r = np.asarray(r, dtype=float)
     cap, d1_cap, slope_top = surrogate_cap(p)
     rc = np.clip(r, 0.0, cap)
-    y = np.log(p.u_star / (p.u_star - rc))
-    # bracketing node plus a short trapezoid panel to the query point;
-    # the panel is ~1e-5 wide so its error is far below the table's
-    n = _ENERGY_TABLE_SIZE - 1
-    idx = _table_index(n, table.end, y)
-    table.extend(idx.max(initial=0) + 1)
-    y0 = _table_nodes(idx, n, table.end)
-    r0 = p.u_star * (-np.expm1(-y0))
-    f0 = p.kappa * r0**p.alpha_exp * (p.u_star - r0) ** (1.0 - p.gamma_exp)
-    fq = p.kappa * rc**p.alpha_exp * (p.u_star - rc) ** (1.0 - p.gamma_exp)
-    out = table.cum[idx] + 0.5 * (y - y0) * (f0 + fq)
+    s = np.sqrt(np.log(p.u_star / (p.u_star - rc)))
+    # fmax and fmin send a NaN to a valid node before the cast
+    idx = np.fmin(np.fmax(s * (1.0 / step), 0.0), _ENERGY_PANELS - 1).astype(np.intp)
+    s0 = idx * step
+    mid = 0.5 * (s0 + s)
+    f_mid = _energy_integrand(mid, p.u_star * -np.expm1(-mid * mid), p)
+    out = cum[idx] + (s - s0) / 6.0 * (f[idx] + 4.0 * f_mid + _energy_integrand(s, rc, p))
     over = np.maximum(r - cap, 0.0)
     out = out + d1_cap * over + 0.5 * slope_top * over**2
     under = np.maximum(-r, 0.0)

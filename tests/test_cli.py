@@ -264,6 +264,20 @@ def test_initial_speed_whose_square_overflows_exits_two_quietly(tmp_path):
     assert "Warning" not in res.stderr
 
 
+@pytest.mark.parametrize("mode", [["--validate-only"], ["--steps", "2"]])
+def test_lambda_below_u_star_resolution_exits_two(tmp_path, mode):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text() + "\n[model]\nbeta_reg_lambda = 1e-17\n")
+    res = _cli("--config", str(cfg), *mode)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: beta_reg_lambda")
+    assert "Traceback" not in res.stderr
+    # a lambda just above the resolution of u_star = 1 still runs
+    cfg.write_text(cfg.read_text().replace("1e-17", "2e-16"))
+    res = _cli("--config", str(cfg), *mode)
+    assert res.returncode == 0, res.stderr
+
+
 def test_short_run_writes_series_and_summary(tmp_path):
     cfg = _write_cfg(tmp_path, every=2)
     res = _cli("--config", str(cfg), "--steps", "4")

@@ -143,6 +143,15 @@ def test_model_invariants_enforced():
         parse_config("[model]\nnu = -0.1\n")
 
 
+@pytest.mark.parametrize("lam", ["1e-17", "1e-300", "1.0"])
+def test_lambda_must_leave_the_cap_below_u_star(lam):
+    # u_star - 1e-17 rounds to u_star, which would put the surrogate's cap
+    # on the pole of d1
+    with pytest.raises(ConfigError, match="beta_reg_lambda"):
+        parse_config(f"[model]\nbeta_reg_lambda = {lam}\n")
+    assert parse_config("[model]\nbeta_reg_lambda = 2e-16\n").params.beta_reg_lambda == 2e-16
+
+
 def test_time_section_guards():
     with pytest.raises(ConfigError, match="dt"):
         parse_config("[time]\ndt = 0\n")

@@ -178,25 +178,6 @@ def test_energy_matches_quadrature_oracle(p):
         assert diffusion_energy(r, p) == pytest.approx(ref, rel=1e-8)
 
 
-def _table_key(p):
-    return p.u_star, p.kappa, p.alpha_exp, p.gamma_exp, p.beta_reg_lambda
-
-
-def _full_table(*key):
-    table = constitutive._energy_table(*key)
-    table.extend(constitutive._ENERGY_TABLE_SIZE)
-    return np.linspace(0.0, table.end, constitutive._ENERGY_TABLE_SIZE), table.cum
-
-
-def _energy_on_full_table(r, p):
-    # the lookup on a table integrated to its end before the call
-    constitutive._energy_table.cache_clear()
-    _full_table(*_table_key(p))
-    out = diffusion_energy(r, p)
-    constitutive._energy_table.cache_clear()
-    return out
-
-
 @pytest.mark.parametrize(
     "u_star, kappa, alpha, gamma, lam",
     [
@@ -206,101 +187,43 @@ def _energy_on_full_table(r, p):
         (0.7, 0.2, 1.1, 1.3, 0.05),
     ],
 )
-def test_energy_table_equals_scipy_cumulative_simpson(u_star, kappa, alpha, gamma, lam):
-    # one bit of difference in the table moves phi_u in the series
-    from scipy.integrate import cumulative_simpson
+def test_energy_matches_quadrature_in_y(u_star, kappa, alpha, gamma, lam):
+    # the smooth integrand of y = ln(u_star/(u_star - r)), where d1 dr is
+    # kappa r^alpha (u_star - r)^(1 - gamma) dy, with u_star - r = u_star e^-y
+    p = ModelParams(
+        u_star=u_star, kappa=kappa, alpha_exp=alpha, gamma_exp=gamma, beta_reg_lambda=lam
+    )
 
-    y, cum = _full_table(u_star, kappa, alpha, gamma, lam)
-    r = u_star * (-np.expm1(-y))
-    integrand = kappa * r**alpha * (u_star - r) ** (1.0 - gamma)
-    assert np.array_equal(cum, cumulative_simpson(integrand, x=y, initial=0.0))
+    def integrand(y):
+        return kappa * (u_star * -np.expm1(-y)) ** alpha * (u_star * np.exp(-y)) ** (1.0 - gamma)
 
-
-def _searchsorted_index(n, end, y):
-    y_grid = np.linspace(0.0, end, n + 1)
-    return np.clip(np.searchsorted(y_grid, y) - 1, 0, len(y_grid) - 2)
-
-
-def test_table_index_equals_searchsorted():
-    p = ModelParams()
-    y_grid, _ = _full_table(*_table_key(p))
-    n, end = len(y_grid) - 1, y_grid[-1]
-    for y in (
-        y_grid,
-        np.nextafter(y_grid, np.inf),
-        np.nextafter(y_grid, -np.inf),
-        np.array([0.0, y_grid[-1]]),
-        np.random.default_rng(0).uniform(0.0, y_grid[-1], 10**6),
-    ):
-        assert np.array_equal(constitutive._table_index(n, end, y), _searchsorted_index(n, end, y))
-    # a small table whose rounded guess falls one node low above a node
-    y_grid = np.linspace(0.0, 81.04640777541927, 44)
-    n, end = len(y_grid) - 1, y_grid[-1]
-    for y in (y_grid, np.nextafter(y_grid, np.inf), np.array([50.88960488224001])):
-        assert np.array_equal(constitutive._table_index(n, end, y), _searchsorted_index(n, end, y))
-
-
-def test_table_nodes_equal_linspace():
-    # the table keeps no node array: every block's nodes are made again
-    # (the end node, which linspace sets apart, by the table itself)
-    p = ModelParams()
-    n = constitutive._ENERGY_TABLE_SIZE - 1
-    for end in (constitutive._energy_table(*_table_key(p)).end, 81.04640777541927, 1.0 / 3.0):
-        ref = np.linspace(0.0, end, n + 1)
-        assert np.array_equal(constitutive._table_nodes(np.arange(n), n, end), ref[:-1])
-        block = np.arange(4096, 8193)
-        assert np.array_equal(constitutive._table_nodes(block, n, end), ref[block])
-
-
-def test_diffusion_energy_unchanged_by_the_table_index(monkeypatch):
-    p = ModelParams()
-    rng = np.random.default_rng(4)
-    fields = [
-        rng.uniform(-0.05, p.u_star, (64, 64)),
-        rng.uniform(-0.05, p.u_star, (24, 24, 24)),
-        np.linspace(-1.0, 2.0, 100001),
+    r = np.linspace(0.05 * u_star, u_star - lam, 25)
+    ref = [
+        quad(integrand, 0.0, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for y in np.log(u_star / (u_star - r))
     ]
-    fast = [diffusion_energy(r, p) for r in fields]
-    monkeypatch.setattr(constitutive, "_table_index", _searchsorted_index)
-    for r, out in zip(fields, fast):
-        assert np.array_equal(out, diffusion_energy(r, p))
+    np.testing.assert_allclose(diffusion_energy(r, p), ref, rtol=1e-9, atol=0.0)
 
 
-def test_table_grown_lookup_by_lookup_equals_full_table():
+def test_energy_table_built_once_per_parameter_set_and_read_only():
     p = ModelParams()
-    cap = p.u_star - p.beta_reg_lambda
-    rng = np.random.default_rng(7)
-    fields = []
-    for top in (0.3, 0.6, 0.95, cap + 0.5 * p.beta_reg_lambda):
-        r = rng.uniform(0.0, top, (64, 64))
-        r[0, 0] = top
-        fields.append(r)
-    full = [_energy_on_full_table(r, p) for r in fields]
-    sizes = []
-    for r, ref in zip(fields, full):
-        assert np.array_equal(diffusion_energy(r, p), ref)
-        sizes.append(constitutive._energy_table(*_table_key(p)).size)
-    assert sizes == sorted(sizes) and sizes[-1] == constitutive._ENERGY_TABLE_SIZE
+    constitutive._energy_table.cache_clear()
+    try:
+        diffusion_energy(0.3, p)
+        diffusion_energy(np.full((8, 8), 0.99), p)
+        assert constitutive._energy_table.cache_info()[:2] == (1, 1)  # hits, misses
+        diffusion_energy(0.3, ModelParams(kappa=1.0))
+        assert constitutive._energy_table.cache_info().misses == 2
+        _, cum, f = constitutive._energy_table(p)
+        for table in (cum, f):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+    finally:
+        constitutive._energy_table.cache_clear()
 
 
 def _low_density_field():
     return np.random.default_rng(3).uniform(0.0, 0.6, (64, 64))
-
-
-def test_low_density_lookup_integrates_a_seventh_of_the_table(monkeypatch):
-    integrated = []
-    panels = constitutive._simpson_panels
-
-    def counting(*args):
-        integrated.append(args[-1].size)
-        panels(*args)
-
-    monkeypatch.setattr(constitutive, "_simpson_panels", counting)
-    constitutive._energy_table.cache_clear()
-    diffusion_energy(_low_density_field(), ModelParams())
-    constitutive._energy_table.cache_clear()
-    intervals = constitutive._ENERGY_TABLE_SIZE - 1
-    assert 0 < sum(integrated) <= 0.15 * intervals, sum(integrated)
 
 
 def test_first_low_density_lookup_peaks_below_five_megabytes():
@@ -335,11 +258,24 @@ def test_first_low_density_lookup_peaks_below_five_megabytes():
     ],
 )
 def test_edge_inputs_on_a_partial_table_equal_the_full_table(r):
+    # the default parameters' energy in closed form, kappa (-ln(1 - r) - r - r^2/2)
+    # up to the cap, with the surrogate's quadratic extensions beyond it
     p = ModelParams()
-    ref = _energy_on_full_table(r, p)
+    lam = p.beta_reg_lambda
+    cap = p.u_star - lam
+    ra = np.asarray(r, dtype=float)
+    rc = np.clip(ra, 0.0, cap)
+    over, under = np.maximum(ra - cap, 0.0), np.maximum(-ra, 0.0)
+    ref = (
+        p.kappa * (-np.log1p(-rc) - rc - rc**2 / 2)
+        + biomass_diffusion(cap, p) * over
+        + 0.5 * biomass_diffusion_deriv(cap, p) * over**2
+        + 0.5 * under**2 / lam
+    )
     out = diffusion_energy(r, p)
-    assert np.shape(out) == np.shape(ref)
-    assert np.array_equal(out, ref, equal_nan=True)
+    assert np.shape(out) == np.shape(r)
+    assert isinstance(out, float) == (ra.ndim == 0)
+    np.testing.assert_allclose(out, ref, rtol=1e-10, atol=0.0, equal_nan=True)
 
 
 def test_energy_zero_and_convex_extensions(p):

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import biomass_jacobian, recorded_run, spy_calls, stream_field_2d
 
 from biofilmflow import biomass
 from biofilmflow import coupling as coupling_mod
+from biofilmflow import nutrient
 from biofilmflow import operators as ops
 from biofilmflow.biomass import NEWTON_TOL, BiomassStepConfig, step_biomass
 from biofilmflow.config import initial_state, load_config, parse_config
@@ -583,6 +586,53 @@ def test_newton_directions_meet_forcing_term_on_3d_box(monkeypatch):
     over = _forcing_ratios(monkeypatch, *_config_start(cfg), 1)
     assert len(over) >= 3
     assert max(over) <= 1.0, over
+
+
+def _five_point_matrix(apply_op, cells):
+    """The sparse matrix of a 2D operator whose rows couple each cell to its
+    four face neighbours only, from five products: colour (i + 2j) mod 5
+    gives the five cells of every stencil five different colours."""
+    i, j = np.indices(cells)
+    colour = (i + 2 * j) % 5
+    columns = np.stack([apply_op((colour == k).astype(float)) for k in range(5)])
+    index = np.arange(i.size).reshape(cells)
+    rows, cols, vals = [], [], []
+    for di, dj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        ok = (i + di >= 0) & (i + di < cells[0]) & (j + dj >= 0) & (j + dj < cells[1])
+        rows.append(index[ok])
+        cols.append(index[i[ok] + di, j[ok] + dj])
+        vals.append(columns[(colour[ok] + di + 2 * dj) % 5, i[ok], j[ok]])
+    n = i.size
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def test_nutrient_solves_meet_cg_tol_on_the_workloads_systems(params):
+    # the sup-norm bound the nutrient CG states (error <= CG_TOL, since the
+    # inverse has sup-norm at most 1), on the systems demo2d's first three
+    # steps and the saturated block's first step hand it at 64^2: 9 solves
+    demo = Path(coupling_mod.__file__).resolve().parents[2] / "configs" / "demo.ini"
+    runs = [
+        (_config_start(load_config(demo)), 3),
+        (_block_stepper(params, CouplingConfig(dt=1e-3, t_end=1e-3)), 1),
+    ]
+    solves = []
+    for (stepper, state, force), steps in runs:
+        with spy_calls(nutrient, "_solve_spd") as log:
+            for _ in range(steps):
+                state, _ = picard_step(stepper, state, force)
+        solves += [(args[0], args[1], out[0]) for _, args, _, out in log]
+    assert len(solves) == 9
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for apply_op, rhs, got in solves:
+        system = _five_point_matrix(apply_op, rhs.shape)
+        probe = rng.standard_normal(rhs.shape)
+        assert np.abs(system @ probe.ravel() - apply_op(probe).ravel()).max() <= 1e-12
+        ref = spla.spsolve(system, rhs.ravel()).reshape(rhs.shape)
+        worst = max(worst, np.abs(got - ref).max())
+    assert worst <= nutrient.CG_TOL, worst
 
 
 def test_loose_round_is_never_accepted(params):
