@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -35,6 +36,12 @@ class OutputSpec:
         # 0 disables field snapshots; the series file is always written
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
+        # the series is written into out_dir, never beside or below it
+        name = self.series_name
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(
+                f"series_name must be a plain file name inside out_dir, got {name!r}"
+            )
         bad = [f for f in self.snapshot_fields if f not in _SNAPSHOT_FIELDS]
         if bad:
             raise ConfigError(

@@ -14,6 +14,10 @@ inequality of its flow steps), so they are built from those operators.
 The oracle applies the viscous operator A through the assembled
 ``component_laplacian`` blocks, though, not through the solver's sine
 transforms.
+The full-length Anderson iteration is another: it is ``project_K``'s
+algorithm with every vector kept at full length, a reference for the
+solver's packed history, so it uses the solver's affine projection and
+soft-threshold.
 The spies watch the coupling loop's inner solves without changing them.
 """
 
@@ -27,7 +31,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, NonlinearConstraint, lsq_linear, minimize
 
-from biofilmflow import coupling
+from biofilmflow import coupling, flow
 from biofilmflow import operators as ops
 from biofilmflow.constitutive import ModelParams, biomass_diffusion_reg_deriv
 from biofilmflow.flow import workspace_obstacle
@@ -397,6 +401,45 @@ def dense_projection_reference(comps, obs, h, starts=("zero", "input", "half")):
             break
     z, cert, score = best
     return unpack(z, shapes, offs), cert
+
+
+def full_anderson_projection(v, obs, start, feas_tol, step_tol):
+    """``project_K``'s Anderson-accelerated dual iteration, started from
+    start and stopped at feas_tol and step_tol, with the residual differences, the Gram
+    matrix and the correction formed on every multiplier entry, newest
+    history column last and nothing updated in place. Returns (velocity
+    comps, iterations)."""
+    h = v.grid.h
+    x, _, lam = start
+    x = list(x.comps)
+    m = ops.center_average(x)
+    d_f, d_g, f_prev, best = [], [], None, np.inf
+    for it in range(1, 100000):
+        g = flow._shrink_cells(lam + m, obs)
+        f = (g - lam).ravel()
+        fsq = f @ f
+        if f_prev is None or fsq > 4.0 * best:
+            d_f, d_g, lam_new = [], [], g
+        else:
+            d_f = (d_f + [f - f_prev])[-flow.ANDERSON_DEPTH:]
+            d_g = (d_g + [(g - g_prev).ravel()])[-flow.ANDERSON_DEPTH:]
+            df = np.array(d_f)
+            gram = df @ df.T
+            gram += flow.ANDERSON_REG * max(np.trace(gram), np.finfo(float).tiny) * np.eye(len(df))
+            gamma = np.linalg.solve(gram, df @ f)
+            lam_new = g - (gamma @ np.array(d_g)).reshape(g.shape)
+        best = min(best, fsq)
+        f_prev, g_prev = f, g
+        x_new, _ = flow._project_affine(v.comps, h, lam_new)
+        m_new = ops.center_average(x_new)
+        excess = (ops.cell_norm(m_new) - obs).max()
+        div = np.abs(ops.divergence(x_new, h)).max()
+        floor = flow.DIV_ROUNDING * np.finfo(float).eps * max(np.abs(c).max() for c in x_new) / min(h)
+        inc = max(np.abs(a - b).max() for a, b in zip(x_new, x))
+        if excess <= feas_tol and div <= max(feas_tol, floor) and inc <= step_tol:
+            return x_new, it
+        lam, x, m = lam_new, x_new, m_new
+    raise AssertionError("the full-length Anderson iteration did not settle")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_validate_only_checks_coupling_settings(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_series_name_outside_out_dir_exits_two_at_parse(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    path.write_text(
+        CONFIG.format(out_dir=out, every=0).replace("[initial]", "series_name = ../x.csv\n\n[initial]")
+    )
+    assert main(["--config", str(path), "--steps", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: series_name")
+    assert not (tmp_path / "x.csv").exists() and not out.exists()
+
+
 def _unreadable_input(tmp_path, case):
     """Set up one case of outside input that cannot be read; returns the
     CLI arguments that meet it and the path the error must name."""

@@ -206,6 +206,14 @@ def test_out_dir_none_disables_output_and_round_trips():
     assert parse_config(print_config(cfg)).output.out_dir is None
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../x.csv", "sub/series.csv", "/tmp/x.csv"])
+def test_series_name_must_be_a_file_name_inside_out_dir(name):
+    # the series is opened as out_dir/series_name: a separator, . or ..
+    # would write beside or below out_dir, or fail only once the run opens it
+    with pytest.raises(ConfigError, match="series_name"):
+        parse_config(f"[output]\nseries_name = {name}\n")
+
+
 def test_snapshot_fields_validated():
     with pytest.raises(ConfigError, match="unknown snapshot field"):
         parse_config("[output]\nsnapshot_fields = u q\n")

@@ -8,9 +8,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import biomass_jacobian, recorded_run, spy_calls, stream_field_2d
+from conftest import (
+    biomass_jacobian,
+    build_dense_constraints,
+    face_layout,
+    kkt_certificate,
+    pack,
+    recorded_run,
+    spy_calls,
+    stream_field_2d,
+)
 
-from biofilmflow import biomass
+from biofilmflow import biomass, flow
 from biofilmflow import coupling as coupling_mod
 from biofilmflow import nutrient
 from biofilmflow import operators as ops
@@ -391,6 +400,65 @@ def test_saturated_block_projection_stays_short(saturated_block):
     # with restart took: 1042 in all, up to 268 in one round
     assert total <= 700, [rep.dykstra_sweeps for _, rep in flows]
     assert max(rep.dykstra_sweeps for _, rep in flows) <= 150
+
+
+def test_projections_meet_their_stated_bounds_on_a_saturated_block(params, monkeypatch):
+    # every projection two steps of a 16^2 saturated block ask for meets
+    # the excess, divergence (or its rounding floor) and increment bounds
+    # it was given, measured here on dense constraint rows and on the last
+    # two iterates it computed; every tight result is certified as the
+    # metric projection by its first-order conditions
+    stepper, state, force = _block_stepper(params, CouplingConfig(dt=1e-3, t_end=2e-3), n=16)
+    calls = []
+    affine, project = flow._project_affine, flow.project_K
+
+    def recorded_affine(*args, **kwargs):
+        x, phi = affine(*args, **kwargs)
+        calls[-1]["iterates"].append([c.copy() for c in x])
+        return x, phi
+
+    def recorded_project(v, r, dt, **kwargs):
+        start = kwargs.get("start")
+        calls.append({"iterates": [] if start is None else [start[0].comps]})
+        calls[-1].update(args=(v, r, kwargs), out=project(v, r, dt, **kwargs))
+        return calls[-1]["out"]
+
+    monkeypatch.setattr(flow, "_project_affine", recorded_affine)
+    monkeypatch.setattr(flow, "project_K", recorded_project)
+    for _ in range(2):
+        state, _ = picard_step(stepper, state, force)
+    monkeypatch.undo()
+
+    grid = stepper.flow_ws.grid
+    shapes, offs, ntot = face_layout(grid.cells)
+    G, E = build_dense_constraints(grid.cells, grid.h)
+    ncell = E.shape[0]
+    boundary = G.shape[0] - ncell
+    certified = 0
+    for call in calls:
+        v, r, kwargs = call["args"]
+        x, _, rep = call["out"]
+        iterates = call["iterates"]
+        # the result is the last iterate, one per iteration after the start;
+        # a start G fixes is returned after one iteration and no solve
+        assert all(np.array_equal(a, b) for a, b in zip(x.comps, iterates[-1]))
+        assert rep.dykstra_sweeps == max(1, len(iterates) - 1)
+        z = pack(x.comps, shapes, offs, ntot)
+        speed = np.linalg.norm((E.reshape(-1, ntot) @ z).reshape(ncell, -1), axis=1)
+        rows = G @ z
+        floor = flow.DIV_ROUNDING * np.finfo(float).eps * np.abs(z).max() / min(grid.h)
+        assert np.all(rows[:boundary] == 0.0)
+        assert (speed - r.ravel()).max() <= kwargs["feas_tol"]
+        assert np.abs(rows[boundary:]).max() <= max(kwargs["feas_tol"], floor)
+        if len(iterates) > 1:
+            inc = max(np.abs(a - b).max() for a, b in zip(*iterates[-2:]))
+            assert inc <= kwargs["step_tol"]
+        if rep.tight:
+            cert = kkt_certificate(z, pack(v.comps, shapes, offs, ntot), G[:-1], E, r.ravel())
+            assert cert["stat"] < 1e-7, cert
+            certified += 1
+    assert certified >= 2
+    assert max(call["out"][2].dykstra_sweeps for call in calls) > 10
 
 
 def test_picard_rounds_hand_multipliers_forward(saturated_steps):

@@ -15,6 +15,7 @@ from conftest import (
     dense_projection_reference,
     face_dot,
     face_layout,
+    full_anderson_projection,
     gradient_faces,
     interp_centers_adjoint,
     kkt_certificate,
@@ -546,6 +547,48 @@ def test_project_K_warm_started_elsewhere_matches_dense_oracle(params, cells, fi
     # multipliers are a starting point only: the limit is the projection
     # onto the obstacle at hand, whatever they came from
     _check_against_dense_oracle(cells, first_seed, warm=True)
+
+
+@pytest.mark.parametrize("cells, seed, share", [((4, 4), 43, 1.0), ((3, 3, 3), 40, 0.5)])
+def test_project_K_support_grows_after_the_history_exists(params, cells, seed, share, monkeypatch):
+    # the start binds in one cell only; the obstacle halves that cell's
+    # bound and sits 5% above the start's speed in the fastest share of
+    # the cells, so more cells bind as the flow moves and multiplier
+    # entries join once the Anderson history holds columns. The packed
+    # history follows the full-length one, where only the summation order
+    # may move the stop by an iteration, and the limit is the dense QP's
+    rng = np.random.default_rng(seed)
+    g = Grid((1.0,) * len(cells), cells)
+    comps = tuple(rng.standard_normal(g.face_shape(ax)) for ax in range(g.dim))
+    v = VectorField(g, comps)
+    speed = ops.cell_norm(ops.center_average(pressure_project(v, dt=1.0)[0].comps))
+    fastest = np.unravel_index(np.argmax(speed), g.cells)
+    loose = np.full(g.cells, 1e3)
+    loose[fastest] = 0.5 * speed[fastest]
+    x, p, rep = project_K(v, loose, dt=1.0)
+    speed = ops.cell_norm(ops.center_average(x.comps))
+    obs = np.where(speed >= np.quantile(speed, 1.0 - share), 1.05 * speed, 1e3)
+    obs[fastest] = 0.5 * loose[fastest]
+    shrunk = []
+    shrink = flow._shrink_cells
+    monkeypatch.setattr(flow, "_shrink_cells", lambda z, r: shrunk.append(shrink(z, r)) or shrunk[-1])
+    out, _, rep_out = project_K(v, obs, dt=1.0, feas_tol=1e-10, step_tol=1e-12, start=(x, p, rep.lam))
+    monkeypatch.undo()
+    held, joined = rep.lam != 0, []
+    for it, gk in enumerate(shrunk):
+        if (gk != 0)[~held].any():
+            joined.append(it)
+        held |= gk != 0
+    assert max(joined) >= 2, joined
+    assert set(np.flatnonzero(rep.lam)) < set(np.flatnonzero(rep_out.lam))
+    full, iters = full_anderson_projection(v, obs, (x, p, rep.lam), 1e-10, 1e-12)
+    assert abs(rep_out.dykstra_sweeps - iters) <= 1, (rep_out.dykstra_sweeps, iters)
+    ref, cert = dense_projection_reference([c.copy() for c in comps], obs, g.h)
+    assert cert["stat"] < 1e-7, f"reference KKT stationarity {cert['stat']:.2e}"
+    assert max(np.abs(a - b).max() for a, b in zip(out.comps, ref)) < 1e-6
+    assert max(np.abs(a - b).max() for a, b in zip(out.comps, full)) < 1e-9
+    assert rep_out.max_excess <= 1e-10
+    assert rep_out.max_div <= 1e-10
 
 
 def test_project_K_restarts_from_its_own_multipliers(params):
