@@ -415,13 +415,15 @@ def predict_velocity(ws, v, g):
     comps = [
         ops.embed_interior(ops.interior_faces(c, ax), grid, ax) for ax, c in enumerate(v.comps)
     ]
+    # the old velocity advects every pass, so its averages are taken once
+    averages = ops.advecting_averages(v.comps)
     iters = 0
     prev = 0.0
     for it in range(PREDICT_MAX_ITERS):
         # the last pass's coefficients give the viscous form; the previous
         # pass's go before this one allocates, which keeps block2d's peak RSS
         new, coefs = [], []
-        adv = ops.mac_advection(v.comps, comps, grid.h)
+        adv = ops.mac_advection(v.comps, comps, grid.h, averages)
         for ax in range(grid.dim):
             x, c = _sine_apply(
                 rhs[ax] - dt * ops.interior_faces(adv[ax], ax), ws.helmholtz_eig[ax], ax

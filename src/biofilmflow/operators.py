@@ -191,7 +191,30 @@ def poisson_neumann(rhs, h):
 # Advection
 # ---------------------------------------------------------------------------
 
-def mac_advection(a, b, h):
+def advecting_averages(a):
+    """The averages of face field a that mac_advection multiplies by: per
+    component j, a_j at the cell centres along j, and for every k != j,
+    a_k averaged across j onto the edges shared with j-faces (zero on the
+    walls), keyed by k."""
+    nd = len(a)
+    centres, edges = [], []
+    for j in range(nd):
+        centres.append(0.5 * (a[j][axslice(nd, j, slice(None, -1))] + a[j][axslice(nd, j, slice(1, None))]))
+        edges.append({})
+        for k in range(nd):
+            if k == j:
+                continue
+            edge_shape = list(a[j].shape)
+            edge_shape[k] += 1
+            ak_e = np.zeros(edge_shape)
+            ak_e[axslice(nd, j, slice(1, -1))] = 0.5 * (
+                a[k][axslice(nd, j, slice(None, -1))] + a[k][axslice(nd, j, slice(1, None))]
+            )
+            edges[j][k] = ak_e
+    return centres, edges
+
+
+def mac_advection(a, b, h, averages=None):
     """Flux-form advection of face field b by face field a.
 
     Component j gets sum_k d/dx_k (a_k b_j) with products of two-point
@@ -199,33 +222,27 @@ def mac_advection(a, b, h):
     faces) the form is skew in b: <N(a,b), b> = 0 to rounding, which is
     what the energy bookkeeping of the flow step relies on. Boundary
     j-faces of the result are left zero (Dirichlet data lives there).
+    averages, when given, is advecting_averages(a), for a caller that
+    advects several fields b by the same a.
     """
     nd = len(a)
+    centres, edges = advecting_averages(a) if averages is None else averages
     out = [np.zeros_like(c) for c in b]
     for j in range(nd):
         # k == j: flux at cell centers
-        aj_c = 0.5 * (a[j][axslice(nd, j, slice(None, -1))] + a[j][axslice(nd, j, slice(1, None))])
         bj_c = 0.5 * (b[j][axslice(nd, j, slice(None, -1))] + b[j][axslice(nd, j, slice(1, None))])
-        flux = aj_c * bj_c
+        flux = centres[j] * bj_c
         out[j][axslice(nd, j, slice(1, -1))] += np.diff(flux, axis=j) / h[j]
         # k != j: flux at cell edges (j-face position shifted half cell in k)
         for k in range(nd):
             if k == j:
                 continue
-            edge_shape = list(b[j].shape)
-            edge_shape[k] += 1
-            ak_e = np.zeros(edge_shape)
-            bj_e = np.zeros(edge_shape)
-            # average a_k across the j direction onto edges; walls stay zero
-            ak_pair = 0.5 * (
-                a[k][axslice(nd, j, slice(None, -1))] + a[k][axslice(nd, j, slice(1, None))]
-            )
-            ak_e[axslice(nd, j, slice(1, -1))] = ak_pair
+            bj_e = np.zeros(edges[j][k].shape)
             # average b_j across the k direction onto edges
             bj_e[axslice(nd, k, slice(1, -1))] = 0.5 * (
                 b[j][axslice(nd, k, slice(None, -1))] + b[j][axslice(nd, k, slice(1, None))]
             )
-            flux = ak_e * bj_e
+            flux = edges[j][k] * bj_e
             out[j] += np.diff(flux, axis=k) / h[k]
             # keep Dirichlet rows clean
             out[j][axslice(nd, j, 0)] = 0.0
