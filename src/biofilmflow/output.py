@@ -70,17 +70,19 @@ def _write_cell_scalars(path, name, grid, values, step):
         _vtk_header(fh, f"{name} at step {step}", grid)
         fh.write(f"SCALARS {name} double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        fh.write("".join(map("{:.17g}\n".format, values.ravel(order="F").tolist())))
+        vals = values.ravel(order="F").tolist()
+        fh.write(("%.17g\n" * len(vals)) % tuple(vals))
 
 
 def _write_cell_vectors(path, name, grid, centered, step):
-    ncell = int(np.prod(grid.cells))
-    cols = [c.ravel(order="F").tolist() for c in centered]
-    cols += [[0.0] * ncell] * (3 - grid.dim)
+    # one row per cell in Fortran order; a 2D z component is 0.0, which
+    # .17g prints as 0
+    rows = np.stack([c.ravel(order="F") for c in centered], axis=1)
+    line = " ".join(["%.17g"] * grid.dim + ["0"] * (3 - grid.dim)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _vtk_header(fh, f"{name} at step {step}", grid)
         fh.write(f"VECTORS {name} double\n")
-        fh.write("".join(map("{:.17g} {:.17g} {:.17g}\n".format, *cols)))
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_snapshot(state, grid, out_dir, step, fields, obstacle=None):
