@@ -199,7 +199,8 @@ def advecting_averages(a):
     nd = len(a)
     centres, edges = [], []
     for j in range(nd):
-        centres.append(0.5 * (a[j][axslice(nd, j, slice(None, -1))] + a[j][axslice(nd, j, slice(1, None))]))
+        lo, hi = axslice(nd, j, slice(None, -1)), axslice(nd, j, slice(1, None))
+        centres.append(0.5 * (a[j][lo] + a[j][hi]))
         edges.append({})
         for k in range(nd):
             if k == j:
@@ -207,9 +208,7 @@ def advecting_averages(a):
             edge_shape = list(a[j].shape)
             edge_shape[k] += 1
             ak_e = np.zeros(edge_shape)
-            ak_e[axslice(nd, j, slice(1, -1))] = 0.5 * (
-                a[k][axslice(nd, j, slice(None, -1))] + a[k][axslice(nd, j, slice(1, None))]
-            )
+            ak_e[axslice(nd, j, slice(1, -1))] = 0.5 * (a[k][lo] + a[k][hi])
             edges[j][k] = ak_e
     return centres, edges
 
@@ -350,6 +349,74 @@ def scalar_laplacian_gamma0(grid):
     return Stencil(grid.cells, lower + [((0,) * nd, diag)] + upper)
 
 
+class RedBlack:
+    """Red-black layout of a 5/7-point stencil with scalar off-diagonals.
+
+    Such a stencil couples only cells of opposite parity. Every axis but
+    the first is padded to the smallest odd length above its own with
+    dummy cells, and the flat padded array to an even length, so a cell's
+    colour is the parity of its flat index: red even, black odd. A packed
+    array is (2, n), row 0 the red cells and row 1 the black ones in flat
+    order. A neighbour along an axis with flat stride t is then a fixed
+    shift of (+-t - 1) // 2 + colour in the other row: a neighbour across
+    a line's end is a dummy, one across the first axis's ends lies outside
+    the row. ``neighbour_sum`` applies A, the stencil's off-diagonal part
+    negated (so the stencil is diag - A), to the other colour's entries as
+    one contiguous 1-D slice per neighbour; its weights are the negated
+    off-diagonal taps. Dummies couple to nothing as long as their entries
+    are 0, as ``pack`` leaves them by default.
+    """
+
+    def __init__(self, stencil):
+        cells = stencil.cells
+        padded = (cells[0],) + tuple(m + 1 + m % 2 for m in cells[1:])
+        self._size = math.prod(padded)
+        self.n = (self._size + 1) // 2
+        self._padded = padded
+        self._inner = tuple(slice(0, m) for m in cells)
+        strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+        # off-diagonal taps grouped by weight, each as flat offsets
+        groups = {}
+        for off, w in stencil.taps:
+            if any(off):
+                groups.setdefault(-float(w), []).append(int(np.dot(off, strides)))
+        n = self.n
+        self._plan = []
+        for colour in (0, 1):
+            plan = []
+            for w, flat in groups.items():
+                shifts = [(e - 1) // 2 + colour for e in flat]
+                plan.append((w, [(max(0, -k), max(0, k), n - abs(k)) for k in shifts]))
+            self._plan.append(plan)
+        self.diag = self.pack(dict(stencil.taps)[(0,) * len(cells)])
+
+    def pack(self, x, fill=0.0):
+        """The cell array x as a packed (2, n) array, dummies set to fill."""
+        flat = np.full(2 * self.n, float(fill))
+        flat[: self._size].reshape(self._padded)[self._inner] = x
+        return flat.reshape(self.n, 2).T.copy()
+
+    def unpack(self, packed):
+        """Inverse of pack: the cell array, dummies dropped."""
+        flat = packed.T.reshape(-1)
+        return flat[: self._size].reshape(self._padded)[self._inner]
+
+    def neighbour_sum(self, x, colour):
+        """A applied to x, the packed row of the other colour, as the row of
+        colour (0 red, 1 black)."""
+        out = None
+        for w, spans in self._plan[colour]:
+            acc = np.zeros(self.n)
+            for lo, src, m in spans:
+                acc[lo:lo + m] += x[src:src + m]
+            acc *= w
+            if out is None:
+                out = acc
+            else:
+                out += acc
+        return out
+
+
 # ---------------------------------------------------------------------------
 # Conjugate gradients
 # ---------------------------------------------------------------------------
@@ -357,9 +424,9 @@ def scalar_laplacian_gamma0(grid):
 def cg(apply, rhs, x, diag, done):
     """Jacobi-preconditioned conjugate gradients for apply(x) = rhs.
 
-    apply is a symmetric operator on cell arrays and diag its diagonal, a
-    cell array or 1.0 for plain CG. x is the start and is updated in
-    place. Stops when done(r) holds for the recurrence residual r, after
+    apply is a symmetric operator on arrays of rhs's shape (cell arrays,
+    or one colour's packed row) and diag its diagonal, such an array or
+    1.0 for plain CG. x is the start and is updated in place. Stops when done(r) holds for the recurrence residual r, after
     rhs.size iterations, or on a curvature d.Md or product r.z that is
     not positive: on an indefinite system CG then ends early, without
     dividing by it. The dots are np.vdot. Returns (x, r, iterations).

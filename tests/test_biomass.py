@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import biomass_jacobian, stream_field_2d
+from conftest import biomass_jacobian, scalar_laplacian_csr, stream_field_2d
 
 from biofilmflow import biomass
 from biofilmflow import operators as ops
@@ -456,6 +456,57 @@ def test_newton_direction_stops_cleanly_on_indefinite_system(params, react):
     )
     assert its < res.size
     assert np.all(np.isfinite(delta))
+
+
+def _direction_inputs(g, seed):
+    """A residual, slopes (zero on a tenth of the cells, up to 1e3 on the
+    others) and reactions of about 1/dt for one Newton direction on g."""
+    rng = np.random.default_rng(seed)
+    res = rng.standard_normal(g.cells)
+    slope = rng.uniform(0.0, 1.0, g.cells) ** 4 * 1e3
+    slope[rng.uniform(size=g.cells) < 0.1] = 0.0
+    return res, slope, rng.uniform(500.0, 1000.0, g.cells)
+
+
+@pytest.mark.parametrize("eta", [biomass.ETA, 1e-9])
+@pytest.mark.parametrize(
+    "extents, cells", [((2.0, 0.7), (17, 9)), ((1.0, 0.8, 0.9), (5, 6, 7))]
+)
+def test_reduced_direction_meets_forcing_term_on_dense_jacobian(params, extents, cells, eta):
+    # CG on the black cells' Schur complement, the red cells recovered from
+    # it: the true linear residual against the assembled J = diag(c) +
+    # S diag(s) is within the forcing term, on odd axes that need two
+    # dummy cells per line and on a 3D grid
+    g = Grid(extents, cells, frozenset(("left", "top")))
+    ws = make_biomass_workspace(g, params)
+    res, slope, c = _direction_inputs(g, sum(cells))
+    delta, its = biomass._newton_direction(ws, res, slope, c, eta)
+    assert 0 < its <= ws.layout.n
+    jac = np.diag(c.ravel()) + scalar_laplacian_csr(g).toarray() * slope.ravel()
+    assert np.abs(jac @ delta.ravel() + res.ravel()).max() <= eta * np.abs(res).max()
+
+
+def test_reduced_direction_keeps_dummy_cells_zero(monkeypatch, params):
+    # every vector CG applies the Schur complement to, its start, iterate
+    # and residual are 0 on the black dummy cells
+    g = Grid((0.875, 1.125, 0.75), (7, 9, 4), frozenset(("left",)))
+    ws = make_biomass_workspace(g, params)
+    dummy = ws.layout.pack(np.zeros(g.cells), fill=1.0)[1] == 1.0
+    assert dummy.any()
+    seen = []
+    cg = ops.cg
+
+    def recording_cg(apply, rhs, x, diag, done):
+        seen.extend([rhs, x.copy()])
+        out = cg(lambda d: seen.append(d.copy()) or apply(d), rhs, x, diag, done)
+        seen.extend(out[:2])
+        return out
+
+    monkeypatch.setattr(ops, "cg", recording_cg)
+    res, slope, c = _direction_inputs(g, 3)
+    biomass._newton_direction(ws, res, slope, c, 1e-9)
+    assert len(seen) > 10
+    assert all(np.all(v[dummy] == 0.0) for v in seen)
 
 
 @pytest.mark.parametrize(

@@ -633,8 +633,8 @@ def test_newton_directions_meet_forcing_term_on_saturated_block(monkeypatch, par
 
 def test_newton_directions_meet_forcing_term_on_demo(monkeypatch):
     # the demo's own directions, over its first ten steps at 64^2: 43
-    # directions, the worst at 0.66 of the forcing term (a full run's
-    # worst is 0.904, over 379 directions)
+    # directions, the worst at 0.50 of the forcing term (a full run's
+    # worst is 0.499, over 375 directions)
     demo = Path(coupling_mod.__file__).resolve().parents[2] / "configs" / "demo.ini"
     over = _forcing_ratios(monkeypatch, *_config_start(load_config(demo)), 10)
     assert len(over) > 20
@@ -643,7 +643,7 @@ def test_newton_directions_meet_forcing_term_on_demo(monkeypatch):
 
 def test_newton_directions_meet_forcing_term_on_3d_box(monkeypatch):
     # the first step of a 24^3 blob in the demo's swirl: 5 directions, the
-    # worst at 0.56 of the forcing term (a three-step run's worst is 0.835,
+    # worst at 0.22 of the forcing term (a three-step run's worst is 0.434,
     # over 15 directions)
     cfg = parse_config(
         "[grid]\ndim = 3\nextents = 1.0 1.0 1.0\ncells = 24 24 24\ngamma0 = left\n\n"

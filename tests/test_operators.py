@@ -168,7 +168,7 @@ def test_stiffness_stencil_equals_csr_bit_for_bit(extents, cells, gamma0):
     x = np.random.default_rng(sum(cells)).uniform(-1.0, 2.0, g.cells)
     assert np.array_equal(S(x), (ref @ x.ravel()).reshape(g.cells))
     ws = make_biomass_workspace(g, ModelParams())
-    assert np.array_equal(ws.stiffness_diag, ref.diagonal().reshape(g.cells))
+    assert np.array_equal(ws.layout.unpack(ws.layout.diag), ref.diagonal().reshape(g.cells))
     assert ws.stiffness_norm == float(abs(ref).sum(axis=1).max())
 
 
@@ -185,6 +185,36 @@ def test_stencil_zero_sums_are_positive_zero():
         assert not np.signbit(out).any()
     # and the interior cells of a mollified -0.0 field
     assert not np.signbit(mollifier(0.1, Grid((1.0, 1.0), (64, 64)))(np.full((64, 64), -0.0))).any()
+
+
+@pytest.mark.parametrize("gamma0", [("left",), ("left", "top")])
+@pytest.mark.parametrize(
+    "extents, cells",
+    [
+        ((0.75, 1.0), (6, 8)),  # even last axis
+        ((0.875, 1.125), (7, 9)),  # odd axes
+        ((2.5, 1.0), (5, 4)),  # h0 = 0.5, h1 = 0.25
+        ((1.25, 0.5, 0.75), (5, 4, 3)),
+        ((0.75, 0.75, 0.75), (3, 3, 3)),
+    ],
+)
+def test_red_black_neighbour_sums_are_the_stiffness_off_diagonal(extents, cells, gamma0):
+    # each colour's packed neighbour sum of the other colour, unpacked, is
+    # A x = diag(S) x - S(x); the spacings are powers of two and x is
+    # integer-valued, so both sides are exact
+    g = Grid(extents, cells, frozenset(gamma0))
+    S = ops.scalar_laplacian_gamma0(g)
+    rb = ops.RedBlack(S)
+    x = np.random.default_rng(sum(cells)).integers(-9, 10, g.cells).astype(float)
+    packed = rb.pack(x)
+    sums = np.stack((rb.neighbour_sum(packed[1], 0), rb.neighbour_sum(packed[0], 1)))
+    assert np.array_equal(rb.unpack(sums), rb.unpack(rb.diag) * x - S(x))
+    # colours alternate on the grid, dummies hold the fill, and unpack inverts pack
+    colour = rb.unpack(np.stack((np.zeros(rb.n), np.ones(rb.n))))
+    assert np.array_equal(colour, np.indices(g.cells).sum(axis=0) % 2)
+    assert np.array_equal(rb.unpack(packed), x)
+    dummies = rb.pack(np.zeros(g.cells), fill=1.0)
+    assert dummies.sum() == 2 * rb.n - x.size
 
 
 def test_stencil_result_survives_the_next_call():
